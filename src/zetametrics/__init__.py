@@ -8,9 +8,8 @@ distances.
 """
 
 from .numerics import (Tolerance, DEFAULT_TOL, GridFunction, integrate,
-                       cumulative_integral, minimize_1d, sup_abs, sign_changes,
-                       std_normal_cdf, std_normal_pdf, std_normal_quantile,
-                       reg_incomplete_gamma)
+                       cumulative_integral, std_normal_cdf, std_normal_pdf,
+                       std_normal_quantile, reg_incomplete_gamma)
 from .measures import (LawSpec, SignedMeasure, MomentTable, Atoms, Bernoulli,
                        Dirac, GammaPower, HistogramLaw, Lattice, Mixture,
                        Normal, Rounded, SubbotinLaw, TruncatedNormalLeft,
@@ -20,12 +19,11 @@ from .measures import (LawSpec, SignedMeasure, MomentTable, Atoms, Bernoulli,
                        truncated_normal_left, winsorised_normal_left,
                        mixture, moments, normal, reflect, rounded, signed_diff,
                        standardise, subbotin, truncate, Truncated, uniform,
-                       variation_density_and_atoms, STANDARD_NORMAL)
+                       STANDARD_NORMAL)
 from .metrics import (MetricValue, ZetaStack, build_zeta_stack, kappa_r,
                       kolmogorov, lambda_1, nu_r_signed, zeta3_cut_criterion,
                       zeta_r)
-from .convolve import (LatticeWeights, clt_lhs, cdf_convolution_2,
-                       convolution_inequality_check, convolve_atomic,
+from .convolve import (LatticeWeights, clt_lhs, convolution_inequality_check, convolve_atomic,
                        lattice_of, power_lattice, wasserstein_lattice_vs_normal)
 from .discretise import RoundingGapReport, histogram_law, round_law, rounding_gaps
 from .bounds import (CONSTANTS, BoundReport, NormalDistanceProfile, all_bounds,

@@ -21,7 +21,7 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-from .numerics import Tolerance
+from .numerics import DomainError, Tolerance
 from .measures import (LawSpec, MeasureError, law_from_dict, signed_diff,
                        STANDARD_NORMAL)
 from .metrics import (MassNotZeroError, MetricError, MomentConditionError,
@@ -36,14 +36,19 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
 
-def _default_tol() -> Tolerance:
-    env = os.environ.get("ZM_TOL")
-    if env:
-        try:
-            return Tolerance(abs_tol=float(env))
-        except ValueError:
-            pass
-    return Tolerance()
+def resolve_tol(tol: Optional[float]) -> Tolerance:
+    """--tol if given, else $ZM_TOL if set, else the default tolerance.
+
+    Raises ValueError naming the source when the value is not a positive
+    number."""
+    text = tol if tol is not None else (os.environ.get("ZM_TOL") or None)
+    if text is None:
+        return Tolerance()
+    try:
+        return Tolerance(abs_tol=float(text))
+    except (ValueError, DomainError):
+        source = "--tol" if tol is not None else "ZM_TOL"
+        raise ValueError(f"{source} must be a positive number, got {text!r}") from None
 
 
 def parse_spec(text: str) -> LawSpec:
@@ -103,20 +108,19 @@ def _emit_rows(rows: List[Dict], args, out=None):
 # ---------------------------------------------------------------------------
 
 def cmd_metric(args) -> int:
-    tol = Tolerance(abs_tol=args.tol) if args.tol else _default_tol()
     P = parse_spec(args.spec)
     Q = parse_spec(args.spec2) if args.spec2 else STANDARD_NORMAL
     M = signed_diff(P, Q)
     r = args.r
     name = args.metric
     if name == "K":
-        mv = kolmogorov(M, tol)
+        mv = kolmogorov(M, args.tol)
     elif name == "nu_r":
-        mv = nu_r_signed(M, int(r), tol)
+        mv = nu_r_signed(M, int(r), args.tol)
     elif name == "kappa_r":
-        mv = kappa_r(M, float(r), tol)
+        mv = kappa_r(M, float(r), args.tol)
     elif name == "zeta_r":
-        mv = zeta_r(M, int(r), tol)
+        mv = zeta_r(M, int(r), args.tol)
     else:
         raise SpecParseError(f"unknown metric {name!r}")
     row = {"metric": name, "r": r, "value": mv.value, "err_est": mv.err_est,
@@ -127,14 +131,13 @@ def cmd_metric(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    tol = Tolerance(abs_tol=args.tol) if args.tol else _default_tol()
     P = parse_spec(args.spec)
-    prof = distance_profile(P, tol)
+    prof = distance_profile(P, args.tol)
     if args.bounds and not args.all_bounds:
         wanted = args.bounds.split(",")
     else:
         wanted = list(ALL_BOUND_IDS)
-    reports = all_bounds(prof, args.n, tol)
+    reports = all_bounds(prof, args.n, args.tol)
     rows = []
     lhs_val: Optional[float] = None
     try:
@@ -157,12 +160,12 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_clt(args) -> int:
-    tol = Tolerance(abs_tol=args.tol) if args.tol else _default_tol()
     P = parse_spec(args.spec)
     ns = [int(v) for v in args.sweep.split(",")] if args.sweep else [args.n]
     rows = []
     for n in ns:
-        mv = clt_lhs(P, n, mode=args.mode, eta=args.eta, alpha=args.alpha, tol=tol)
+        mv = clt_lhs(P, n, mode=args.mode, eta=args.eta, alpha=args.alpha,
+                     tol=args.tol)
         rows.append({"n": n, "lhs": mv.value, "sqrt_n_lhs": math.sqrt(n) * mv.value,
                      "err_est": mv.err_est, "method": mv.method})
     _emit_rows(rows, args)
@@ -232,6 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        args.tol = resolve_tol(args.tol)
+    except ValueError as exc:
+        print(f"bad tolerance: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         return args.func(args)
     except SpecParseError as exc:

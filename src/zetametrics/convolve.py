@@ -117,13 +117,6 @@ def power_lattice(P: LatticeWeights, n: int) -> LatticeWeights:
     return result
 
 
-def cdf_convolution_2(P: LawSpec, Q: LawSpec, x: float,
-                      tol: Tolerance = Tolerance(1e-11, 1e-9, 60)) -> float:
-    """F_{P*Q}(x) = integral F_P(x - y) dQ(y) by quadrature."""
-    law = conv2_law(P, Q)
-    return float(np.atleast_1d(law.cdf(np.asarray(x, dtype=float)))[0])
-
-
 def _phi_antideriv(x: np.ndarray) -> np.ndarray:
     """Antiderivative of Phi: x Phi(x) + phi(x)."""
     return x * std_normal_cdf(x) + std_normal_pdf(x)

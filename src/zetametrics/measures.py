@@ -179,9 +179,9 @@ class LawSpec:
         total = sum(w * (abs(a) ** k if absolute else a ** k) for a, w in self.atoms())
         if self.has_density:
             if absolute:
-                f = lambda x: abs(x) ** k * float(np.atleast_1d(self.pdf(np.array([x])))[0])
+                f = lambda x: abs(x) ** k * float(self.pdf(x))
             else:
-                f = lambda x: x ** k * float(np.atleast_1d(self.pdf(np.array([x])))[0])
+                f = lambda x: x ** k * float(self.pdf(x))
             bps = [b for b in self.density_breakpoints() if lo < b < hi] + [0.0]
             v, _ = integrate(f, lo, hi, Tolerance(1e-11, 1e-10, 60), breakpoints=bps,
                              singularities=self.density_singularities())
@@ -274,32 +274,14 @@ class Atoms(LawSpec):
                 "points": [[x, w] for x, w in self.atoms()]}
 
 
-@dataclass(frozen=True, eq=False)
-class Bernoulli(LawSpec):
-    p: float
+class Bernoulli(Atoms):
     family = "bernoulli"
 
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"bernoulli needs p in [0,1], got {self.p}")
-
-    def _atoms_law(self) -> Atoms:
-        return Atoms([(0.0, 1.0 - self.p), (1.0, self.p)])
-
-    def cdf(self, x):
-        return self._atoms_law().cdf(x)
-
-    def cdf_left(self, x):
-        return self._atoms_law().cdf_left(x)
-
-    def atoms(self):
-        return self._atoms_law().atoms()
-
-    def support(self, eps=SUPPORT_EPS):
-        return (0.0, 1.0)
-
-    def tail_scale(self):
-        return 1.0
+    def __init__(self, p: float):
+        if not 0.0 <= p <= 1.0:
+            raise DomainError(f"bernoulli needs p in [0,1], got {p}")
+        self.p = p
+        super().__init__([(0.0, 1.0 - p), (1.0, p)])
 
     def mu(self, k):
         return self.p if k >= 1 else 1.0
@@ -311,7 +293,7 @@ class Bernoulli(LawSpec):
         return {"family": "bernoulli", "p": self.p}
 
 
-class Lattice(LawSpec):
+class Lattice(Atoms):
     """Law on shift + span * Z given by a finite weight window."""
 
     family = "lattice"
@@ -330,28 +312,10 @@ class Lattice(LawSpec):
         self.weights = w
         self.first_index = int(first_index)
         locs = self.shift + self.span * (self.first_index + np.arange(w.size))
-        self._inner = Atoms(list(zip(locs.tolist(), w.tolist())))
-
-    def cdf(self, x):
-        return self._inner.cdf(x)
-
-    def cdf_left(self, x):
-        return self._inner.cdf_left(x)
-
-    def atoms(self):
-        return self._inner.atoms()
-
-    def support(self, eps=SUPPORT_EPS):
-        return self._inner.support(eps)
+        super().__init__(list(zip(locs.tolist(), w.tolist())))
 
     def tail_scale(self):
         return max(1.0, self.span)
-
-    def mu(self, k):
-        return self._inner.mu(k)
-
-    def nu(self, r):
-        return self._inner.nu(r)
 
     def to_dict(self):
         return {"family": "lattice", "shift": self.shift, "span": self.span,
@@ -664,7 +628,7 @@ class GammaPower(LawSpec):
         """E[X^k 1_{X <= x}] in closed form (needed because for
         alpha*beta < 1 the density packs mass unresolvably close to 0)."""
         if k == 0:
-            return float(np.atleast_1d(self.cdf(np.array([x])))[0])
+            return float(self.cdf(x))
         if not self.moment_exists(k):
             raise InfiniteMomentError(f"partial moment {k} infinite")
         if x <= 0:
@@ -725,7 +689,7 @@ class SubbotinLaw(LawSpec):
         x = np.asarray(x, dtype=float)
         b, a = self.beta, self.scale
         c = b / (2.0 * a * math.gamma(1.0 / b))
-        out = c * np.exp(-np.abs(x / a) ** b)
+        out = c * np.exp(-np.power(np.abs(x / a), b))
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -934,7 +898,7 @@ def affine(c: float, d: float, base: LawSpec) -> LawSpec:
         return Normal(c * base.mu_loc + d, abs(c) * base.sigma)
     if isinstance(base, Dirac):
         return Dirac(c * base.a + d)
-    if isinstance(base, (Atoms, Bernoulli, Lattice)):
+    if isinstance(base, Atoms):
         return Atoms([(c * x + d, w) for x, w in base.atoms()])
     if isinstance(base, Uniform):
         a, b = c * base.a + d, c * base.b + d
@@ -1118,14 +1082,13 @@ class Truncated(LawSpec):
         self.base = base
         self.a = float(a)
         self.b = float(b)
-        self._z = float(np.atleast_1d(base.cdf(np.array([self.b])))[0]) \
-            - float(np.atleast_1d(base.cdf(np.array([self.a])))[0])
+        self._z = float(base.cdf(self.b)) - float(base.cdf(self.a))
         if self._z <= 0:
             raise DomainError("truncation window has zero mass")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        fa = float(np.atleast_1d(self.base.cdf(np.array([self.a])))[0])
+        fa = float(self.base.cdf(self.a))
         out = (np.asarray(self.base.cdf(np.clip(x, self.a, self.b)), dtype=float)
                - fa) / self._z
         out = np.clip(out, 0.0, 1.0)
@@ -1195,15 +1158,14 @@ class Conv2(LawSpec):
     def _cdf_one(self, x: float) -> float:
         total = 0.0
         for a, w in self.q.atoms():
-            total += w * float(np.atleast_1d(self.p.cdf(np.array([x - a])))[0])
+            total += w * float(self.p.cdf(x - a))
         if self.q.has_density:
             lo, hi = self.q.support(1e-15)
             plo, phi_ = self.p.support(1e-15)
             bps = sorted({x - b for b in ([plo, phi_] + self.p.density_breakpoints()
                                           + [a for a, _ in self.p.atoms()])}
                          | set(self.q.density_breakpoints()))
-            f = lambda y: (float(np.atleast_1d(self.p.cdf(np.array([x - y])))[0])
-                           * float(np.atleast_1d(self.q.pdf(np.array([y])))[0]))
+            f = lambda y: float(self.p.cdf(x - y)) * float(self.q.pdf(y))
             v, _ = integrate(f, lo, hi, self.tol,
                              breakpoints=[b for b in bps if lo < b < hi])
             total += v
@@ -1226,11 +1188,10 @@ class Conv2(LawSpec):
         for i, v in enumerate(xa):
             total = 0.0
             for a, w in self.q.atoms():
-                total += w * float(np.atleast_1d(self.p.pdf(np.array([v - a])))[0])
+                total += w * float(self.p.pdf(v - a))
             if self.q.has_density and self.p.has_density:
                 lo, hi = self.q.support(1e-15)
-                f = lambda y: (float(np.atleast_1d(self.p.pdf(np.array([v - y])))[0])
-                               * float(np.atleast_1d(self.q.pdf(np.array([y])))[0]))
+                f = lambda y: float(self.p.pdf(v - y)) * float(self.q.pdf(y))
                 val, _ = integrate(f, lo, hi, self.tol,
                                    breakpoints=self.q.density_breakpoints())
                 total += val
@@ -1514,8 +1475,11 @@ class SignedMeasure:
         return any(law.has_density for _, law in self.terms)
 
     def atoms(self) -> List[Tuple[float, float]]:
+        """Signed atoms; only exactly coinciding locations of different
+        terms merge, as in cdf, which sums the terms' own distribution
+        functions."""
         return merge_atoms([(x, c * w) for c, law in self.terms
-                            for x, w in law.atoms()])
+                            for x, w in law.atoms()], rtol=0.0)
 
     def density_breakpoints(self) -> List[float]:
         out: List[float] = []
@@ -1560,11 +1524,6 @@ class SignedMeasure:
 
 def signed_diff(P: LawSpec, Q: LawSpec) -> SignedMeasure:
     return SignedMeasure([(1.0, P), (-1.0, Q)])
-
-
-def variation_density_and_atoms(M: SignedMeasure):
-    """(merged atoms with signed weights, pointwise summed density)."""
-    return M.atoms(), M.density
 
 
 def convolve_signed(M1: SignedMeasure, M2: SignedMeasure) -> SignedMeasure:

@@ -22,9 +22,9 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .numerics import (DEFAULT_TOL, GridFunction, Tolerance, cumulative_integral,
-                       find_root, golden_section, integrate, scan_sign_changes,
-                       std_normal_cdf, std_normal_pdf)
-from .measures import (Affine, Atoms, Bernoulli, Dirac, HistogramLaw, Lattice,
+                       golden_section, integrate, refine_grid, scan_sign_changes,
+                       sign_roots, std_normal_cdf, std_normal_pdf)
+from .measures import (Affine, Atoms, Dirac, HistogramLaw, InfiniteMomentError,
                        LawSpec, Mixture, Normal, Rounded, SignedMeasure, Uniform,
                        STANDARD_NORMAL, signed_diff, standardise)
 
@@ -62,6 +62,8 @@ class MetricValue:
 
 def _stack_normal_std(k: int, x: np.ndarray) -> np.ndarray:
     """F_{N,k}(x) for the standard normal, k = 1..5."""
+    # a 0-d x stays an array, so its powers take the ufunc path as for arrays
+    x = np.asarray(x, dtype=float)
     Phi = std_normal_cdf(x)
     phi = std_normal_pdf(x)
     if k == 1:
@@ -106,8 +108,8 @@ def _stack_uniform(k: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     fact = math.factorial(k)
     width = b - a
-    inside = -((a - x) ** k) / (fact * width)
-    beyond = ((b - x) ** k - (a - x) ** k) / (fact * width)
+    inside = -np.power(a - x, k) / (fact * width)
+    beyond = (np.power(b - x, k) - np.power(a - x, k)) / (fact * width)
     return np.where(x <= a, 0.0, np.where(x <= b, inside, beyond))
 
 
@@ -164,7 +166,7 @@ def closed_stack_evaluator(law: LawSpec, k: int) -> Optional[Callable]:
             k, (np.asarray(x, dtype=float) - mu) / s)
     if isinstance(law, Uniform):
         return lambda x: _stack_uniform(k, law.a, law.b, x)
-    if isinstance(law, (Dirac, Atoms, Bernoulli, Lattice, Rounded)):
+    if isinstance(law, (Dirac, Atoms, Rounded)):
         stack = _AtomStack(law.atoms())
         return lambda x: stack.eval(k, x)
     if isinstance(law, HistogramLaw):
@@ -275,59 +277,45 @@ def build_zeta_stack(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
         raise MetricError("zeta order r must be 1..4")
     depth = depth or (r + 1)
     check_vanishing_moments(M, r - 1)
-    flags = tuple(True for _ in range(r))
     grid = metric_grid(M)
-    err = 0.0
-    levels: List[Callable] = []
-    use_closed = engine in ("auto", "closed")
-    if use_closed:
-        closed = [closed_measure_stack(M, k) for k in range(1, depth + 1)]
-        if all(c is not None for c in closed):
-            levels = closed
-            err = 1e-14 * max(1.0, M.nu_upper(0))
-            stack = ZetaStack(r, levels, grid, "closed", err,
-                              moment_flags=flags)
-            f_r = levels[r - 1]
-            stack.endpoint_decay = (abs(float(np.atleast_1d(f_r(grid[:1]))[0])),
-                                    abs(float(np.atleast_1d(f_r(grid[-1:]))[0])))
-            return stack
-        if engine == "closed":
-            raise MetricError("closed-form stack unavailable for this measure")
-    g1 = _measure_grid_function(M, grid)
-    levels = [lambda x, g=g1: np.asarray(g.fn(x), dtype=float)]
-    cur = g1
-    for _ in range(depth - 1):
-        cur = cumulative_integral(cur, sign=-1, tol=tol)
-        err += getattr(cur, "err_est", 0.0)
-        levels.append(lambda x, g=cur: np.asarray(g.fn(x), dtype=float))
-    stack = ZetaStack(r, levels, grid, "quadrature", err, moment_flags=flags)
+    closed = [closed_measure_stack(M, k) for k in range(1, depth + 1)] \
+        if engine in ("auto", "closed") else [None]
+    if all(c is not None for c in closed):
+        levels, kind, err = closed, "closed", 1e-14 * max(1.0, M.nu_upper(0))
+    elif engine == "closed":
+        raise MetricError("closed-form stack unavailable for this measure")
+    else:
+        cur = _measure_grid_function(M, grid)
+        levels = [lambda x, g=cur: np.asarray(g.fn(x), dtype=float)]
+        kind, err = "quadrature", 0.0
+        for _ in range(depth - 1):
+            cur = cumulative_integral(cur, sign=-1, tol=tol)
+            err += cur.err_est
+            levels.append(lambda x, g=cur: np.asarray(g.fn(x), dtype=float))
     f_r = levels[r - 1]
-    stack.endpoint_decay = (abs(float(np.atleast_1d(f_r(grid[:1]))[0])),
-                            abs(float(np.atleast_1d(f_r(grid[-1:]))[0])))
-    return stack
+    return ZetaStack(r, levels, grid, kind, err,
+                     endpoint_decay=(abs(float(f_r(grid[0]))), abs(float(f_r(grid[-1])))),
+                     moment_flags=(True,) * r)
 
 
-def _segment_points(M: SignedMeasure, fn: Callable, grid: np.ndarray,
-                    samples_per_panel: int = 6,
-                    include_atoms: bool = True) -> Tuple[np.ndarray, List[float]]:
-    """Dense samples of fn plus located roots between sign flips."""
-    xs = [grid]
-    for k in range(1, samples_per_panel):
-        xs.append(grid[:-1] + np.diff(grid) * k / samples_per_panel)
-    dense = np.unique(np.concatenate(xs))
-    vals = np.asarray(fn(dense), dtype=float)
-    band = 1e-13 * float(np.max(np.abs(vals)) or 1.0)
-    _, _, pairs = scan_sign_changes(vals, band)
-    roots = []
-    scalar_fn = lambda t: float(np.atleast_1d(fn(np.array([t])))[0])
-    for i, j in pairs:
-        a, b = float(dense[i]), float(dense[j])
-        if scalar_fn(a) * scalar_fn(b) < 0:
-            roots.append(find_root(scalar_fn, a, b, tol=1e-13))
-    pts = set(roots)
-    if include_atoms:
-        pts.update(x for x, _ in M.atoms() if grid[0] < x < grid[-1])
-    return dense, sorted(pts)
+def _segment_points(M: SignedMeasure, fn: Callable, grid: np.ndarray) -> List[float]:
+    """Sign changes of fn (6 samples per grid panel) and the atoms of M
+    strictly inside the grid, sorted."""
+    pts = set(sign_roots(fn, refine_grid(grid, 6)))
+    pts.update(x for x, _ in M.atoms() if grid[0] < x < grid[-1])
+    return sorted(pts)
+
+
+def _telescope(M: SignedMeasure, f_k: Callable, f_k1: Callable,
+               grid: np.ndarray) -> Tuple[float, int]:
+    """(integral of |F_k| over the grid, segment count).
+
+    F_{k+1}' = -F_k, so on each segment between consecutive sign changes
+    of F_k the integral of |F_k| is |F_{k+1}(b) - F_{k+1}(a)| exactly.
+    """
+    seg = _segment_points(M, f_k, grid)
+    vals = np.asarray(f_k1(np.array([grid[0]] + seg + [grid[-1]])), dtype=float)
+    return float(np.sum(np.abs(np.diff(vals)))), len(seg)
 
 
 def zeta_r(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
@@ -339,16 +327,11 @@ def zeta_r(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
         out.certificate = (out.certificate or {}) | {"delegated": "kappa_1"}
         return out
     stack = build_zeta_stack(M, r, tol, engine=engine, depth=r + 1)
-    f_r = stack.F(r)
-    f_r1 = stack.F(r + 1)
-    _, seg = _segment_points(M, f_r, stack.grid)
-    pts = np.array([stack.grid[0]] + seg + [stack.grid[-1]])
-    vals = np.asarray(f_r1(pts), dtype=float)
-    total = float(np.sum(np.abs(np.diff(vals))))
+    total, n_seg = _telescope(M, stack.F(r), stack.F(r + 1), stack.grid)
     err = stack.err_est + max(stack.endpoint_decay) * (stack.grid[-1] - stack.grid[0]) * 1e-3
     method = "closed_form" if stack.engine == "closed" else "quadrature"
     return MetricValue(total, err + 1e-12 * max(1.0, total), method,
-                       certificate={"segments": len(seg),
+                       certificate={"segments": n_seg,
                                     "endpoint_decay": stack.endpoint_decay})
 
 
@@ -366,38 +349,29 @@ def kappa_r(M: SignedMeasure, r: float, tol: Tolerance = DEFAULT_TOL,
     try:
         for _, law in M.terms:
             law.nu(int(math.ceil(r)))
-    except Exception as exc:
+    except InfiniteMomentError as exc:
         raise MetricError(f"kappa_{r} diverges: {exc}") from exc
     grid = metric_grid(M)
-    f1_closed = closed_measure_stack(M, 1) if engine in ("auto", "closed") else None
-    if f1_closed is not None:
-        f1 = f1_closed
-        method = "closed_form"
-    else:
+    f1 = closed_measure_stack(M, 1) if engine in ("auto", "closed") else None
+    method = "quadrature" if f1 is None else "closed_form"
+    if f1 is None:
         g = _measure_grid_function(M, grid)
         f1 = lambda x: np.asarray(g.fn(x), dtype=float)
-        method = "quadrature"
     if r == 1.0:
-        # exact telescoping of F_2 across sign segments
-        if f1_closed is not None:
-            f2 = closed_measure_stack(M, 2)
-        else:
-            g = _measure_grid_function(M, grid)
+        if method == "quadrature":
             cum = cumulative_integral(g, sign=-1, tol=tol)
             f2 = lambda x: np.asarray(cum.fn(x), dtype=float)
-        _, seg = _segment_points(M, f1, grid)
-        pts = np.array([grid[0]] + seg + [grid[-1]])
-        vals = np.asarray(f2(pts), dtype=float)
-        total = float(np.sum(np.abs(np.diff(vals))))
+        else:
+            f2 = closed_measure_stack(M, 2)
+        total, n_seg = _telescope(M, f1, f2, grid)
         return MetricValue(total, 1e-11 * max(1.0, total) + 1e-13, method,
-                           certificate={"segments": len(seg)})
-    _, seg = _segment_points(M, f1, grid)
-    pts = [grid[0]] + [p for p in seg if grid[0] < p < grid[-1]] + [grid[-1]]
-    scalar_f1 = lambda t: float(np.atleast_1d(f1(np.array([t])))[0])
+                           certificate={"segments": n_seg})
+    seg = _segment_points(M, f1, grid)
+    pts = [grid[0]] + seg + [grid[-1]]
     total, err = 0.0, 0.0
     feats = sorted(set([0.0] + [x for x, _ in M.atoms()]))
     for a, b in zip(pts[:-1], pts[1:]):
-        f = lambda x: r * abs(x) ** (r - 1.0) * scalar_f1(x)
+        f = lambda x: r * abs(x) ** (r - 1.0) * float(f1(x))
         v, e = integrate(f, a, b, tol.scaled(1.0 / max(len(pts), 1)),
                          breakpoints=[c for c in feats if a < c < b])
         total += abs(v)
@@ -410,13 +384,13 @@ def lambda_1(M: SignedMeasure) -> float:
     """lambda_1(M) = integral of h_M; equals mu_1(M) when nu_1 < infinity."""
     try:
         return M.mu(1)
-    except Exception:
+    except InfiniteMomentError:
         pass
     if abs(M.mass()) > 1e-10:
         raise MassNotZeroError("lambda_1 fallback needs M(R) = 0")
     grid = metric_grid(M)
     g = _measure_grid_function(M, grid)
-    v, _ = integrate(lambda x: float(np.atleast_1d(g.fn(np.array([x])))[0]),
+    v, _ = integrate(lambda x: float(g.fn(x)),
                      grid[0], grid[-1], DEFAULT_TOL,
                      breakpoints=[x for x, _ in M.atoms()])
     return -v
@@ -430,10 +404,7 @@ def kolmogorov(M: SignedMeasure, tol: Tolerance = DEFAULT_TOL,
     if not M.terms or all(c == 0 for c, _ in M.terms):
         return MetricValue(0.0, 0.0, "closed_form")
     grid = metric_grid(M, n_base=n_base)
-    xs = [grid]
-    for k in range(1, 6):
-        xs.append(grid[:-1] + np.diff(grid) * k / 6.0)
-    dense = np.unique(np.concatenate(xs))
+    dense = refine_grid(grid, 6)
     vals = np.abs(np.asarray(M.cdf(dense), dtype=float))
     best = float(np.max(vals))
     best_x = float(dense[int(np.argmax(vals))])
@@ -454,9 +425,7 @@ def kolmogorov(M: SignedMeasure, tol: Tolerance = DEFAULT_TOL,
             a = float(dense[max(i - 1, 0)])
             b = float(dense[min(i + 1, dense.size - 1)])
             if b > a:
-                x, v = golden_section(
-                    lambda t: -abs(float(np.atleast_1d(M.cdf(np.array([t])))[0])),
-                    a, b, tol=1e-13)
+                x, v = golden_section(lambda t: -abs(float(M.cdf(t))), a, b, tol=1e-13)
                 if -v > best:
                     best, best_x = -v, x
     return MetricValue(best, 1e-12 + 1e-10 * best, "quadrature",
@@ -469,29 +438,19 @@ def nu_r_signed(M: SignedMeasure, r: int,
     try:
         for _, law in M.terms:
             law.nu(r)
-    except Exception:
+    except InfiniteMomentError:
         return MetricValue(math.inf, 0.0, "closed_form",
                            certificate={"finite": False})
     total = sum(abs(w) * abs(x) ** r for x, w in M.atoms())
     err = 0.0
     if M.has_density:
         grid = metric_grid(M)
-        dense = np.unique(np.concatenate(
-            [grid, grid[:-1] + np.diff(grid) / 2.0]))
-        dvals = np.asarray(M.density(dense), dtype=float)
-        band = 1e-13 * float(np.max(np.abs(dvals)) or 1.0)
-        _, _, pairs = scan_sign_changes(dvals, band)
-        scalar_d = lambda t: float(np.atleast_1d(M.density(np.array([t])))[0])
-        roots = []
-        for i, j in pairs:
-            a, b = float(dense[i]), float(dense[j])
-            if scalar_d(a) * scalar_d(b) < 0:
-                roots.append(find_root(scalar_d, a, b, tol=1e-13))
+        roots = sign_roots(M.density, refine_grid(grid, 2))
         pts = [grid[0]] + sorted(set(roots)) + [grid[-1]]
         feats = sorted(set([0.0] + M.density_breakpoints()))
         sings = M.density_singularities()
         for a, b in zip(pts[:-1], pts[1:]):
-            v, e = integrate(lambda x: abs(x) ** r * scalar_d(x), a, b,
+            v, e = integrate(lambda x: abs(x) ** r * float(M.density(x)), a, b,
                              tol.scaled(1.0 / max(len(pts), 1)),
                              breakpoints=[c for c in feats if a < c < b],
                              singularities=sings)
@@ -505,28 +464,18 @@ def nu_r_signed(M: SignedMeasure, r: int,
 # cut criterion for zeta_3
 # ---------------------------------------------------------------------------
 
-def _certified_sign_count(fn: Callable, grid: np.ndarray, band: float,
-                          sweeps: int = 1, factor: int = 8):
+def _certified_sign_count(fn: Callable, grid: np.ndarray, vals: np.ndarray,
+                          band: float):
     """(count, first_sign, certified).
 
-    Counts alternations of fn on ``grid``; then re-samples every
-    constant-sign stretch at ``factor`` x resolution and certifies the
-    count only if no extra alternation shows up.
+    Counts alternations of fn from its values ``vals`` on ``grid``, then
+    re-samples at 8 points per panel and certifies the count only if no
+    extra alternation shows up (the finer count is returned either way).
     """
-    vals = np.asarray(fn(grid), dtype=float)
-    count, first, _ = scan_sign_changes(vals, band)
-    certified = True
-    g = grid
-    for _ in range(sweeps):
-        fine = np.unique(np.concatenate(
-            [g] + [g[:-1] + np.diff(g) * k / factor for k in range(1, factor)]))
-        fvals = np.asarray(fn(fine), dtype=float)
-        c2, first, _ = scan_sign_changes(fvals, band)
-        if c2 != count:
-            certified = False
-            count = c2
-        g = fine
-    return count, first, certified
+    count, _, _ = scan_sign_changes(vals, band)
+    fine_count, first, _ = scan_sign_changes(
+        np.asarray(fn(refine_grid(grid, 8)), dtype=float), band)
+    return fine_count, first, fine_count == count
 
 
 def zeta3_cut_criterion(P: LawSpec, tol: Tolerance = DEFAULT_TOL
@@ -549,8 +498,7 @@ def zeta3_cut_criterion(P: LawSpec, tol: Tolerance = DEFAULT_TOL
     mu3 = Pt.mu(3)
     band = 1e-9 * sup0
     # left limits matter at atoms: sample strictly between features
-    count, first, certified = _certified_sign_count(
-        lambda x: np.asarray(M.cdf(x), dtype=float), grid, band)
+    count, first, certified = _certified_sign_count(M.cdf, grid, dvals, band)
     if certified and count <= 2 and abs(mu3) > 1e-8:
         return MetricValue(abs(mu3) / 6.0, 1e-12 * max(1.0, abs(mu3)),
                            "cut_criterion",
@@ -568,7 +516,7 @@ def zeta3_cut_criterion(P: LawSpec, tol: Tolerance = DEFAULT_TOL
                               - std_normal_pdf(np.asarray(x, dtype=float)))
             dv = np.asarray(dens(grid), dtype=float)
             dband = 1e-9 * float(np.max(np.abs(dv)) or 1.0)
-            cnt, dfirst, cert = _certified_sign_count(dens, grid, dband)
+            cnt, dfirst, cert = _certified_sign_count(dens, grid, dv, dband)
             if cert and cnt == 4:
                 val = abs(Pt.nu(3) - STANDARD_NORMAL.nu(3)) / 6.0
                 expected_first = 1 if Pt.nu(3) > STANDARD_NORMAL.nu(3) else -1

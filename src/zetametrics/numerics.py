@@ -2,16 +2,17 @@
 
 Special functions (normal CDF/quantile, regularized incomplete gamma),
 adaptive Simpson quadrature on finite and infinite intervals, grid-backed
-cumulative integration, sup/argmax search, 1-D minimization and
-sign-change counting.  Everything here is pure and operates on plain
-floats / numpy arrays; no probability-specific types appear.
+cumulative integration, root and golden-section searches, grid
+refinement, and sign-change counting and root location.  Everything
+here is pure and operates on plain floats / numpy arrays; no
+probability-specific types appear.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -520,7 +521,7 @@ def cumulative_integral(g: GridFunction, sign: int = 1,
             xs = np.linspace(a, b, n + 1)
             vals = np.asarray(g.fn(xs), dtype=float)
             if b in jumps:
-                vals[-1] = float(np.atleast_1d(g.value_left(np.array([b])))[0])
+                vals[-1] = float(g.value_left(b))
             h = (b - a) / n
             s = h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
                            + 2.0 * vals[2:-1:2].sum())
@@ -577,52 +578,6 @@ def golden_section(f: Callable[[float], float], a: float, b: float,
     return x2, f2
 
 
-def minimize_1d(f: Callable[[float], float], lo: float, hi: float,
-                tol: Tolerance = DEFAULT_TOL, coarse: int = 256):
-    """Coarse scan (>= 256 points) + golden section on the best bracket."""
-    coarse = max(coarse, 256)
-    xs = np.linspace(lo, hi, coarse)
-    vals = np.array([f(x) for x in xs])
-    k = int(np.argmin(vals))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, coarse - 1)]
-    x, v = golden_section(f, float(a), float(b), tol=max(tol.abs_tol, 1e-14))
-    if vals[k] < v:
-        return float(xs[k]), float(vals[k])
-    return float(x), float(v)
-
-
-def sup_abs(g: GridFunction, refine: Tolerance = DEFAULT_TOL,
-            samples_per_panel: int = 8):
-    """(sup |g|, argmax) including left limits at declared jump points."""
-    bp = g.breakpoints
-    xs = [bp]
-    for k in range(1, samples_per_panel):
-        xs.append(bp[:-1] + np.diff(bp) * k / samples_per_panel)
-    grid = np.unique(np.concatenate(xs))
-    vals = np.abs(np.asarray(g.fn(grid), dtype=float))
-    best_v = float(np.max(vals))
-    best_x = float(grid[int(np.argmax(vals))])
-    jp = np.atleast_1d(g.jump_points)
-    if jp.size:
-        lv = np.abs(np.asarray(g.value_left(jp), dtype=float))
-        rv = np.abs(np.asarray(g.fn(jp), dtype=float))
-        for x, a, b in zip(jp, lv, rv):
-            m = max(float(a), float(b))
-            if m > best_v:
-                best_v, best_x = m, float(x)
-    # golden-section polish between the neighbours of the best grid point
-    i = int(np.searchsorted(grid, best_x))
-    a = float(grid[max(i - 1, 0)])
-    b = float(grid[min(i + 1, grid.size - 1)])
-    if b > a:
-        x, v = golden_section(lambda t: -abs(float(np.atleast_1d(g.fn(np.array([t])))[0])),
-                              a, b, tol=max(refine.abs_tol, 1e-13))
-        if -v > best_v:
-            best_v, best_x = -v, x
-    return best_v, best_x
-
-
 def scan_sign_changes(values: np.ndarray, zero_band: float):
     """Count alternations among values with |v| > zero_band.
 
@@ -640,30 +595,22 @@ def scan_sign_changes(values: np.ndarray, zero_band: float):
     return len(pairs), int(signs[0]), pairs
 
 
-def sign_changes(g: GridFunction, zero_band: float = -1.0,
-                 base_points: int = 512, refine_rounds: int = 3):
-    """(count, initially_positive) for g on its grid.
+def refine_grid(grid: np.ndarray, k: int) -> np.ndarray:
+    """Sorted ``grid`` plus k - 1 equally spaced interior points per panel."""
+    return np.unique(np.concatenate(
+        [grid] + [grid[:-1] + np.diff(grid) * j / k for j in range(1, k)]))
 
-    The count is a lower bound: alternation candidates are refined a few
-    rounds to pick up extra oscillations near detected flips.  A negative
-    zero_band requests the default 1e-9 * sup|g| on the initial grid.
+
+def sign_roots(f: Callable, xs: np.ndarray) -> List[float]:
+    """Roots of the vectorized ``f`` at the sign alternations of its
+    samples on the sorted points ``xs``.
+
+    Samples within 1e-13 * max|f(xs)| of zero do not count as a sign;
+    each alternation between off-band samples brackets one root, located
+    by find_root on the scalar function.
     """
-    bp = g.breakpoints
-    grid = np.unique(np.concatenate([
-        bp, np.linspace(bp[0], bp[-1], max(base_points, 2 * bp.size))]))
-    vals = np.asarray(g.fn(grid), dtype=float)
-    band = zero_band if zero_band >= 0 else 1e-9 * float(np.max(np.abs(vals)) or 1.0)
-    count, first, pairs = scan_sign_changes(vals, band)
-    for _ in range(refine_rounds):
-        extra = []
-        for i, j in pairs:
-            extra.append(np.linspace(grid[i], grid[j], 9)[1:-1])
-        if not extra:
-            break
-        grid = np.unique(np.concatenate([grid] + extra))
-        vals = np.asarray(g.fn(grid), dtype=float)
-        new_count, first, pairs = scan_sign_changes(vals, band)
-        if new_count == count:
-            break
-        count = new_count
-    return count, first
+    vals = np.asarray(f(xs), dtype=float)
+    band = 1e-13 * float(np.max(np.abs(vals)) or 1.0)
+    _, _, pairs = scan_sign_changes(vals, band)
+    scalar = lambda t: float(f(t))
+    return [find_root(scalar, float(xs[i]), float(xs[j]), tol=1e-13) for i, j in pairs]

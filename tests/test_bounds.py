@@ -93,6 +93,19 @@ class TestXi:
                                                   math.sqrt(n) * B.std)
             assert w1 <= v / math.sqrt(n) + 1e-9
 
+    def test_xi_objective_vs_brute_force(self):
+        # two-stage brute force of the xi objective at 1e-6 resolution
+        C = CONSTANTS
+        kappa, zeta = 1.0, 0.1
+        coarse = np.arange(0.0, 10.0, 1e-3)
+        cv = (kappa + C.alpha_Z * zeta + C.beta_Z * coarse) \
+            / (1.0 - C.gamma_Z * g_eta(coarse) * zeta)
+        k = int(np.argmin(cv))
+        fine = np.arange(max(coarse[k] - 2e-3, 0.0), coarse[k] + 2e-3, 1e-6)
+        fv = (kappa + C.alpha_Z * zeta + C.beta_Z * fine) \
+            / (1.0 - C.gamma_Z * g_eta(fine) * zeta)
+        assert abs(xi(kappa, zeta) - float(np.min(fv))) < 1e-6
+
     def test_monotone_on_grid(self):
         ks = np.linspace(0.0, 2.0, 50)
         zs = np.linspace(0.0, 0.24, 50)

@@ -163,6 +163,29 @@ class TestEnvTol:
                      "--metric", "K"], env={**os.environ, "ZM_TOL": "1e-6"})
         assert r.returncode == 0
 
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    def test_bad_zm_tol_exit_2(self, value):
+        r = run_cli(["metric", "--spec", BERN, "--metric", "K"],
+                    env={**os.environ, "ZM_TOL": value})
+        assert r.returncode == 2
+        assert r.stderr.strip().splitlines() == [
+            f"bad tolerance: ZM_TOL must be a positive number, got {value!r}"]
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_tol_flag_exit_2(self, capsys, value):
+        # --tol 0 is rejected, not replaced by the default
+        rc = cli.main(["metric", "--spec", BERN, "--metric", "K", "--tol", value])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.strip().splitlines() == [
+            f"bad tolerance: --tol must be a positive number, got {float(value)!r}"]
+
+    def test_tol_flag_overrides_env(self, monkeypatch):
+        monkeypatch.setenv("ZM_TOL", "abc")
+        args = cli.build_parser().parse_args(["metric", "--spec", BERN,
+                                              "--metric", "K", "--tol", "1e-6"])
+        assert cli.resolve_tol(args.tol).abs_tol == 1e-6
+
 
 class TestSubprocessEntry:
     def test_module_entry_point(self):

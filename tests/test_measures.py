@@ -218,9 +218,16 @@ class TestSignedMeasures:
 
     def test_variation_split(self):
         M = zm.signed_diff(zm.bernoulli(0.5), zm.normal())
-        atoms, density = zm.variation_density_and_atoms(M)
-        assert atoms == [(0.0, 0.5), (1.0, 0.5)]
-        assert abs(float(density(0.5)) + zm.std_normal_pdf(0.5)) < 1e-15
+        assert M.atoms() == [(0.0, 0.5), (1.0, 0.5)]
+        assert abs(float(M.density(0.5)) + zm.std_normal_pdf(0.5)) < 1e-15
+
+    def test_atoms_of_different_terms_merge_only_when_equal(self):
+        # M.cdf sums the terms' own CDFs, so atoms 1e-13 apart stay two atoms
+        M = zm.signed_diff(zm.dirac(0.0), zm.dirac(1e-13))
+        assert M.atoms() == [(0.0, 1.0), (1e-13, -1.0)]
+        assert zm.nu_r_signed(M, 0).value == 2.0
+        assert zm.kolmogorov(M).value == 1.0
+        assert zm.signed_diff(zm.dirac(0.5), zm.atoms_law([(0.5, 1.0)])).atoms() == []
 
 
 class TestLatticeSpan:

@@ -8,6 +8,7 @@ import pytest
 import zetametrics as zm
 from zetametrics.metrics import (MassNotZeroError, MomentConditionError,
                                  closed_measure_stack)
+from zetametrics.numerics import GridFunction
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 SQRT3 = math.sqrt(3.0)
@@ -55,6 +56,14 @@ class TestKolmogorov:
     def test_zolotarev_measure(self):
         assert abs(zm.kolmogorov(zolotarev_M()).value - 1 / (2 * SQRT3)) < 1e-10
 
+    def test_jump_left_limit_dominates(self):
+        # F_M = 1{x >= 0} - (x + 1)/1.5 on [-1, 0.5]: |F_M| <= 1/3 right of
+        # the atom, so the sup 2/3 is only reached as the left limit at 0
+        M = zm.signed_diff(zm.dirac(0.0), zm.uniform(-1.0, 0.5))
+        v = zm.kolmogorov(M)
+        assert abs(v.value - 2.0 / 3.0) < 1e-15
+        assert v.certificate["argmax"] == 0.0
+
 
 class TestKappa:
     def test_dirac_pair(self):
@@ -85,6 +94,27 @@ class TestKappa:
         M = zm.signed_diff(heavy, zm.STANDARD_NORMAL)
         with pytest.raises(Exception, match="diverges"):
             zm.kappa_r(M, 3.0)
+
+
+class _BrokenMoments(zm.Normal):
+    """A law whose moment routines fail for a reason other than divergence."""
+
+    def mu(self, k):
+        raise ArithmeticError("broken mu")
+
+    def nu(self, r):
+        raise ArithmeticError("broken nu")
+
+
+class TestMomentErrors:
+    @pytest.mark.parametrize("metric", [
+        lambda M: zm.kappa_r(M, 1.0), lambda M: zm.kappa_r(M, 2.5),
+        lambda M: zm.nu_r_signed(M, 1), zm.lambda_1])
+    def test_non_divergence_errors_propagate(self, metric):
+        # only InfiniteMomentError means "diverges" / inf / fallback
+        M = zm.signed_diff(_BrokenMoments(), zm.STANDARD_NORMAL)
+        with pytest.raises(ArithmeticError):
+            metric(M)
 
 
 class TestLambda1:
@@ -352,3 +382,45 @@ class TestClosedStackAvailability:
         assert closed_measure_stack(M, 3) is None
         v = zm.zeta_r(M, 3)
         assert v.method == "quadrature"
+
+
+SCALAR_LAWS = [zm.bernoulli(0.3), zm.normal(0.5, 2.0), zm.uniform(-1.0, 3.0),
+               zm.truncated_normal_left(1.5), zm.winsorised_normal_left(1.5),
+               zm.gamma_power(2.0), zm.gamma_power(2.0, 1.0, 2.0), zm.subbotin(1.7),
+               zm.mixture([(0.4, zm.normal()), (0.6, zm.uniform(0, 1))]),
+               zm.rounded(0.5, 0.3, zm.normal()), zm.histogram(0.5, 0.0, zm.normal()),
+               zm.truncate(zm.normal(), -2.0, 2.0)]
+SCALAR_MEASURES = [zm.signed_diff(zm.standardise(P), zm.STANDARD_NORMAL)
+                   for P in SCALAR_LAWS] + [zolotarev_M()]
+SCALAR_POINTS = np.linspace(-6.0, 6.0, 601)
+
+
+def assert_scalar_matches_array(f):
+    for t in SCALAR_POINTS:
+        assert float(f(t)) == float(f(np.array([t]))[0]), t
+
+
+class TestScalarEvaluation:
+    """float(f(t)) is the scalar form of every evaluator: it must equal
+    the 1-element-array result bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_closed_stacks(self, k):
+        stacks = [closed_measure_stack(M, k) for M in SCALAR_MEASURES]
+        assert sum(f is not None for f in stacks) >= 5
+        for f in stacks:
+            if f is not None:
+                assert_scalar_matches_array(f)
+
+    @pytest.mark.parametrize("name", ["cdf", "cdf_left", "density"])
+    def test_measure_surface(self, name):
+        for M in SCALAR_MEASURES:
+            assert_scalar_matches_array(getattr(M, name))
+
+    def test_quadrature_grid_function(self):
+        st = zm.build_zeta_stack(btilde_minus_N(), 3, engine="quadrature")
+        assert st.engine == "quadrature"
+        for k in (1, 2, 3, 4):
+            assert_scalar_matches_array(st.F(k))
+        g = GridFunction(np.linspace(-5, 5, 41), zm.std_normal_pdf, left_tail=0.0)
+        assert_scalar_matches_array(zm.cumulative_integral(g))

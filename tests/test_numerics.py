@@ -1,4 +1,4 @@
-"""Special functions, quadrature, searches, sign counting."""
+"""Special functions, quadrature, root search, sign counting."""
 
 import math
 
@@ -151,108 +151,56 @@ class TestCumulativeIntegral:
         assert abs(float(h(1.0)) + 1.0) < 1e-12
 
 
-class TestSupAbs:
-    def test_constant(self):
-        g = nm.GridFunction(np.linspace(0, 1, 8),
-                            lambda x: np.full_like(x, 0.25), left_tail=0.0)
-        v, _ = nm.sup_abs(g)
-        assert abs(v - 0.25) < 1e-14
-
-    def test_normal_scale_pair_vs_dense_oracle(self):
-        fn = lambda x: nm.std_normal_cdf(x) - nm.std_normal_cdf(x / 2.0)
-        dense = np.linspace(-12, 12, 2_000_001)
-        oracle = float(np.max(np.abs(fn(dense))))
-        g = nm.GridFunction(np.linspace(-12, 12, 257), fn, left_tail=0.0)
-        v, argmax = nm.sup_abs(g, nm.Tolerance(1e-12, 1e-10, 60))
-        assert abs(v - oracle) < 1e-9
-        # closed form of the centred-normal-pair distance
-        assert abs(v - 0.161337284417384) < 1e-9
-
-    def test_dominates_every_grid_sample(self):
-        fn = lambda x: np.sin(5 * np.asarray(x, dtype=float)) \
-            * np.exp(-np.asarray(x, dtype=float) ** 2)
-        g = nm.GridFunction(np.linspace(-3, 3, 41), fn, left_tail=0.0)
-        v, _ = nm.sup_abs(g)
-        xs = RNG.uniform(-3, 3, 500)
-        assert np.all(np.abs(fn(xs)) <= v + 1e-12)
-
-    def test_jump_left_limit_dominates(self):
-        fn = lambda x: np.where(x >= 0.0, 0.1, 0.0) - 0.0 * x
-        g = nm.GridFunction(np.array([-1.0, 0.0, 1.0]),
-                            lambda x: np.where(np.asarray(x) >= 0, -0.4, 0.5),
-                            jump_points=np.array([0.0]),
-                            fn_left=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5),
-                            left_tail=0.0)
-        v, argmax = nm.sup_abs(g)
-        assert v == 0.5 and argmax in (0.0, -1.0)
-
-
-class TestMinimize1d:
-    def test_parabola(self):
-        x, v = nm.minimize_1d(lambda t: (t - 1.0) ** 2, 0.0, 2.0)
-        assert abs(x - 1.0) < 1e-7 and v < 1e-13
-
-    def test_monotone_hits_endpoint(self):
-        x, v = nm.minimize_1d(lambda t: 1.6 * t, 0.0, 10.0)
-        assert x < 1e-6 and abs(v) < 2e-6
-
-    def test_xi_objective_vs_brute_force(self):
-        # two-stage brute force at 1e-6 resolution is the oracle here
-        from zetametrics.bounds import CONSTANTS, g_eta
-        kappa, zeta = 1.0, 0.1
-        C = CONSTANTS
-
-        def f(e):
-            d = 1.0 - C.gamma_Z * g_eta(e) * zeta
-            return (kappa + C.alpha_Z * zeta + C.beta_Z * e) / d if d > 0 else math.inf
-
-        coarse = np.arange(0.0, 10.0, 1e-3)
-        cv = (kappa + C.alpha_Z * zeta + C.beta_Z * coarse) \
-            / (1.0 - C.gamma_Z * g_eta(coarse) * zeta)
-        k = int(np.argmin(cv))
-        fine = np.arange(max(coarse[k] - 2e-3, 0.0), coarse[k] + 2e-3, 1e-6)
-        fv = (kappa + C.alpha_Z * zeta + C.beta_Z * fine) \
-            / (1.0 - C.gamma_Z * g_eta(fine) * zeta)
-        oracle = float(np.min(fv))
-        x, v = nm.minimize_1d(f, 0.0, 10.0, nm.Tolerance(1e-9, 1e-8, 60), coarse=512)
-        assert abs(v - oracle) < 1e-6
-
-
 class TestSignChanges:
-    def gf(self, fn, lo=-1.0, hi=1.0, n=33):
-        return nm.GridFunction(np.linspace(lo, hi, n), fn, left_tail=0.0)
+    """scan_sign_changes counts alternations; sign_roots locates them."""
+
+    XS = np.linspace(-1.0, 1.0, 33)          # includes x = 0 exactly
 
     def test_constant_positive(self):
-        count, first = nm.sign_changes(self.gf(lambda x: np.ones_like(x)))
-        assert (count, first) == (0, 1)
+        ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        assert nm.scan_sign_changes(ones(self.XS), 0.0) == (0, 1, [])
+        assert nm.sign_roots(ones, self.XS) == []
 
     def test_linear(self):
-        count, first = nm.sign_changes(self.gf(lambda x: np.asarray(x, dtype=float)))
+        lin = lambda x: np.asarray(x, dtype=float)
+        count, first, _ = nm.scan_sign_changes(lin(self.XS), 0.0)
         assert (count, first) == (1, -1)
+        (root,) = nm.sign_roots(lin, self.XS)
+        assert abs(root) < 1e-13
 
     def test_truncated_normal_cdf_gap(self):
         import zetametrics as zm
         P = zm.standardise(zm.truncated_normal_left(2.0))
         fn = lambda x: (np.asarray(P.cdf(x), dtype=float)
                         - nm.std_normal_cdf(np.asarray(x, dtype=float)))
-        g = nm.GridFunction(np.linspace(-6, 8, 1025), fn, left_tail=0.0)
-        count, first = nm.sign_changes(g)
+        xs = nm.refine_grid(np.linspace(-6, 8, 1025), 6)
+        vals = fn(xs)
+        count, first, _ = nm.scan_sign_changes(vals, 1e-9 * np.max(np.abs(vals)))
         assert (count, first) == (2, -1)
+        roots = nm.sign_roots(fn, xs)
+        assert len(roots) == 2
+        assert np.max(np.abs(fn(np.array(roots)))) < 1e-14
 
     def test_negation_flips_initial_sign(self):
         fn = lambda x: np.sin(3.0 * np.asarray(x, dtype=float)) + 0.1
-        g = self.gf(fn, -2, 2, 129)
-        gneg = self.gf(lambda x: -fn(x), -2, 2, 129)
-        c1, f1 = nm.sign_changes(g)
-        c2, f2 = nm.sign_changes(gneg)
-        assert c1 == c2 and f1 == -f2
+        xs = np.linspace(-2, 2, 129)
+        c1, f1, _ = nm.scan_sign_changes(fn(xs), 0.0)
+        c2, f2, _ = nm.scan_sign_changes(-fn(xs), 0.0)
+        assert c1 == c2 == 3 and f1 == -f2
+        assert nm.sign_roots(fn, xs) == nm.sign_roots(lambda x: -fn(x), xs)
 
     def test_exact_zero_grid_point_not_missed(self):
         # odd function vanishing exactly at a sample point
-        fn = lambda x: np.asarray(x, dtype=float) ** 3
-        g = self.gf(fn, -1, 1, 21)              # includes x = 0 exactly
-        count, first = nm.sign_changes(g)
+        cube = lambda x: np.asarray(x, dtype=float) ** 3
+        xs = np.linspace(-1, 1, 21)
+        count, first, _ = nm.scan_sign_changes(cube(xs), 0.0)
         assert (count, first) == (1, -1)
+        (root,) = nm.sign_roots(cube, xs)
+        assert abs(root) < 1e-12
+
+    def test_refine_grid_adds_interior_points(self):
+        out = nm.refine_grid(np.array([0.0, 1.0, 3.0]), 4)
+        assert out.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]
 
 
 class TestGridFunction:
