@@ -25,7 +25,7 @@ from .metrics import (MetricValue, ZetaStack, build_zeta_stack, kappa_r,
                       zeta_r)
 from .convolve import (LatticeWeights, clt_lhs, convolution_inequality_check, convolve_atomic,
                        lattice_of, power_lattice, wasserstein_lattice_vs_normal)
-from .discretise import RoundingGapReport, histogram_law, round_law, rounding_gaps
+from .discretise import RoundingGapReport, rounding_gaps
 from .bounds import (CONSTANTS, BoundReport, NormalDistanceProfile, all_bounds,
                      be_classical, be_kappa, be_main, be_main_all_n,
                      be_zeta3_only, distance_profile, esseen_asymptotic, g_eta,

@@ -24,13 +24,19 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
-# constants
+# g(eta) and the constants
 # ---------------------------------------------------------------------------
 
-def zeta_riemann_3_2(terms: int = 100_000) -> float:
-    """zeta(3/2) by direct summation plus integral tail."""
-    j = np.arange(1, terms + 1, dtype=float)
-    return float(np.sum(j ** -1.5)) + 2.0 / math.sqrt(terms)
+def g_eta(eta):
+    """g(eta) = sum_{j>=1} (j + eta^2)^{-3/2}, the Hurwitz zeta
+    zeta(3/2, 1 + eta^2): 20 terms plus the Euler-Maclaurin tail from
+    t = eta^2 + 21; within 1e-13 of the series for every eta >= 0."""
+    e2 = np.asarray(eta, dtype=float) ** 2
+    t = e2 + 21.0
+    head = np.sum((e2[..., None] + np.arange(1.0, 21.0)) ** -1.5, axis=-1)
+    out = head + 2.0 * t ** -0.5 + t ** -1.5 / 2.0 + t ** -2.5 / 8.0 \
+        - 7.0 * t ** -4.5 / 384.0 + 11.0 * t ** -6.5 / 1024.0
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,7 @@ class Constants:
     alpha_Z: float = 4.0 * math.exp(-0.5) / SQRT_2PI
     beta_Z: float = 4.0 / SQRT_2PI
     gamma_Z: float = (2.0 + 8.0 * math.exp(-1.5)) / SQRT_2PI
-    zeta_R32: float = field(default_factory=zeta_riemann_3_2)
+    zeta_R32: float = g_eta(0.0)
     c_main: float = 9.0
     c_zeta1_coarse: float = 14.0
     c_zeta3: float = 34.0
@@ -97,29 +103,8 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# g(eta) and Zolotarev's xi
+# Zolotarev's xi
 # ---------------------------------------------------------------------------
-
-_G_TERMS = 100_000
-_G_J = None
-
-
-def g_eta(eta) -> float:
-    """g(eta) = sum_{j>=1} (j + eta^2)^{-3/2}, truncated at 1e5 terms with
-    the integral tail 2 / sqrt(J + eta^2); error below 1e-7."""
-    global _G_J
-    if _G_J is None:
-        _G_J = np.arange(1, _G_TERMS + 1, dtype=float)
-    e = np.asarray(eta, dtype=float)
-    if e.ndim == 0:
-        e2 = float(e) ** 2
-        return float(np.sum((_G_J + e2) ** -1.5)) + 2.0 / math.sqrt(_G_TERMS + e2)
-    out = np.empty(e.size)
-    for i, v in enumerate(e.ravel()):
-        e2 = v * v
-        out[i] = float(np.sum((_G_J + e2) ** -1.5)) + 2.0 / math.sqrt(_G_TERMS + e2)
-    return out.reshape(e.shape)
-
 
 _XI_GRID = None
 _XI_GVALS = None

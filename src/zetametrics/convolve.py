@@ -62,13 +62,6 @@ class LatticeWeights:
         w = self.weights[keep] / self.weights[keep].sum()
         return Atoms(list(zip(self.locations[keep].tolist(), w.tolist())))
 
-    def mean(self) -> float:
-        return float(np.sum(self.weights * self.locations))
-
-    def var(self) -> float:
-        m = self.mean()
-        return float(np.sum(self.weights * (self.locations - m) ** 2))
-
 
 def lattice_of(P: LawSpec, tol: float = 1e-9) -> LatticeWeights:
     """Embed a purely atomic commensurable law into a LatticeWeights array."""

@@ -14,18 +14,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .numerics import DEFAULT_TOL, Tolerance
-from .measures import (HistogramLaw, LawSpec, Rounded, DegenerateLawError,
+from .measures import (LawSpec, DegenerateLawError, histogram, rounded,
                        signed_diff, standardise)
 from .metrics import kappa_r
-
-
-def round_law(P: LawSpec, eta: float, alpha: float = 0.0) -> Rounded:
-    """Lattice projection of P onto {(alpha + j) eta}."""
-    return Rounded(eta, alpha, P)
-
-
-def histogram_law(P: LawSpec, eta: float, alpha: float = 0.0) -> HistogramLaw:
-    return HistogramLaw(eta, alpha, P)
 
 
 @dataclass
@@ -51,8 +42,8 @@ def rounding_gaps(P: LawSpec, eta: float, alpha: float = 0.0,
     """
     if eta <= 0:
         raise ValueError("eta must be > 0")
-    Prd = round_law(P, eta, alpha)
-    Phist = histogram_law(P, eta, alpha)
+    Prd = rounded(eta, alpha, P)
+    Phist = histogram(eta, alpha, P)
     gap_quad = kappa_r(signed_diff(Prd, Phist), 1.0, tol).value
     z1_rd_base = kappa_r(signed_diff(Prd, P), 1.0, tol).value
     z3_bound = (eta ** 2 / 8.0) * (P.nu(1) + eta * P.nu(0))

@@ -178,12 +178,10 @@ class LawSpec:
         lo, hi = self.support(1e-16)
         total = sum(w * (abs(a) ** k if absolute else a ** k) for a, w in self.atoms())
         if self.has_density:
-            if absolute:
-                f = lambda x: abs(x) ** k * float(self.pdf(x))
-            else:
-                f = lambda x: x ** k * float(self.pdf(x))
-            bps = [b for b in self.density_breakpoints() if lo < b < hi] + [0.0]
-            v, _ = integrate(f, lo, hi, Tolerance(1e-11, 1e-10, 60), breakpoints=bps,
+            f = lambda x: ((np.abs(x) if absolute else x) ** k
+                           * np.asarray(self.pdf(x), dtype=float))
+            v, _ = integrate(f, lo, hi, Tolerance(1e-11, 1e-10),
+                             breakpoints=self.density_breakpoints() + [0.0],
                              singularities=self.density_singularities())
             total += v
         return total
@@ -762,8 +760,10 @@ class Mixture(LawSpec):
         return any(law.has_density for _, law in self.parts)
 
     def atoms(self):
+        # only exactly equal locations merge, as in cdf, which sums the
+        # parts' own distribution functions
         return merge_atoms([(x, w * wp) for wp, law in self.parts
-                            for x, w in law.atoms()])
+                            for x, w in law.atoms()], rtol=0.0)
 
     def density_breakpoints(self):
         out: List[float] = []
@@ -1149,7 +1149,7 @@ class Conv2(LawSpec):
 
     family = "conv2"
 
-    def __init__(self, p: LawSpec, q: LawSpec, tol: Tolerance = Tolerance(1e-10, 1e-9, 60)):
+    def __init__(self, p: LawSpec, q: LawSpec, tol: Tolerance = Tolerance(1e-10, 1e-9)):
         # integrate over the factor with the simpler structure
         self.p = p
         self.q = q
@@ -1165,9 +1165,9 @@ class Conv2(LawSpec):
             bps = sorted({x - b for b in ([plo, phi_] + self.p.density_breakpoints()
                                           + [a for a, _ in self.p.atoms()])}
                          | set(self.q.density_breakpoints()))
-            f = lambda y: float(self.p.cdf(x - y)) * float(self.q.pdf(y))
-            v, _ = integrate(f, lo, hi, self.tol,
-                             breakpoints=[b for b in bps if lo < b < hi])
+            f = lambda y: (np.asarray(self.p.cdf(x - y), dtype=float)
+                           * np.asarray(self.q.pdf(y), dtype=float))
+            v, _ = integrate(f, lo, hi, self.tol, breakpoints=bps)
             total += v
         return min(max(total, 0.0), 1.0)
 
@@ -1191,9 +1191,10 @@ class Conv2(LawSpec):
                 total += w * float(self.p.pdf(v - a))
             if self.q.has_density and self.p.has_density:
                 lo, hi = self.q.support(1e-15)
-                f = lambda y: float(self.p.pdf(v - y)) * float(self.q.pdf(y))
-                val, _ = integrate(f, lo, hi, self.tol,
-                                   breakpoints=self.q.density_breakpoints())
+                f = lambda y: (np.asarray(self.p.pdf(v - y), dtype=float)
+                               * np.asarray(self.q.pdf(y), dtype=float))
+                bps = self.q.density_breakpoints() + [v - b for b in self.p.density_breakpoints()]
+                val, _ = integrate(f, lo, hi, self.tol, breakpoints=bps)
                 total += val
             out[i] = total
         return float(out[0]) if scalar else out
@@ -1517,9 +1518,6 @@ class SignedMeasure:
 
     def translated(self, a: float) -> "SignedMeasure":
         return SignedMeasure([(c, affine(1.0, a, law)) for c, law in self.terms])
-
-    def negated(self) -> "SignedMeasure":
-        return SignedMeasure([(-c, law) for c, law in self.terms])
 
 
 def signed_diff(P: LawSpec, Q: LawSpec) -> SignedMeasure:

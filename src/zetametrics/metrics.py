@@ -264,7 +264,6 @@ class ZetaStack:
     engine: str                          # "closed" | "quadrature"
     err_est: float
     endpoint_decay: Tuple[float, float] = (0.0, 0.0)
-    moment_flags: Tuple[bool, ...] = ()  # mu_j ~ 0 verified, j = 0..r-1
 
     def F(self, k: int) -> Callable:
         return self.levels[k - 1]
@@ -294,8 +293,7 @@ def build_zeta_stack(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
             levels.append(lambda x, g=cur: np.asarray(g.fn(x), dtype=float))
     f_r = levels[r - 1]
     return ZetaStack(r, levels, grid, kind, err,
-                     endpoint_decay=(abs(float(f_r(grid[0]))), abs(float(f_r(grid[-1])))),
-                     moment_flags=(True,) * r)
+                     endpoint_decay=(abs(float(f_r(grid[0]))), abs(float(f_r(grid[-1])))))
 
 
 def _segment_points(M: SignedMeasure, fn: Callable, grid: np.ndarray) -> List[float]:
@@ -304,6 +302,13 @@ def _segment_points(M: SignedMeasure, fn: Callable, grid: np.ndarray) -> List[fl
     pts = set(sign_roots(fn, refine_grid(grid, 6)))
     pts.update(x for x, _ in M.atoms() if grid[0] < x < grid[-1])
     return sorted(pts)
+
+
+def _panel_points(M: SignedMeasure, grid: np.ndarray, seg: List[float]) -> List[float]:
+    """First quadrature panels for an integrand built from F_M or the
+    density of M: the segment points, the kinks of F_M, 0, and every 8th
+    grid point, so that no panel spans more than 8 grid cells."""
+    return sorted(set(seg) | set(M.density_breakpoints()) | {0.0} | set(grid[::8].tolist()))
 
 
 def _telescope(M: SignedMeasure, f_k: Callable, f_k1: Callable,
@@ -367,15 +372,8 @@ def kappa_r(M: SignedMeasure, r: float, tol: Tolerance = DEFAULT_TOL,
         return MetricValue(total, 1e-11 * max(1.0, total) + 1e-13, method,
                            certificate={"segments": n_seg})
     seg = _segment_points(M, f1, grid)
-    pts = [grid[0]] + seg + [grid[-1]]
-    total, err = 0.0, 0.0
-    feats = sorted(set([0.0] + [x for x, _ in M.atoms()]))
-    for a, b in zip(pts[:-1], pts[1:]):
-        f = lambda x: r * abs(x) ** (r - 1.0) * float(f1(x))
-        v, e = integrate(f, a, b, tol.scaled(1.0 / max(len(pts), 1)),
-                         breakpoints=[c for c in feats if a < c < b])
-        total += abs(v)
-        err += e
+    total, err = integrate(lambda x: r * np.abs(x) ** (r - 1.0) * np.abs(f1(x)),
+                           grid[0], grid[-1], tol, breakpoints=_panel_points(M, grid, seg))
     return MetricValue(total, err + 1e-12 * max(1.0, total), method,
                        certificate={"segments": len(seg)})
 
@@ -389,10 +387,8 @@ def lambda_1(M: SignedMeasure) -> float:
     if abs(M.mass()) > 1e-10:
         raise MassNotZeroError("lambda_1 fallback needs M(R) = 0")
     grid = metric_grid(M)
-    g = _measure_grid_function(M, grid)
-    v, _ = integrate(lambda x: float(g.fn(x)),
-                     grid[0], grid[-1], DEFAULT_TOL,
-                     breakpoints=[x for x, _ in M.atoms()])
+    v, _ = integrate(M.cdf, grid[0], grid[-1], DEFAULT_TOL,
+                     breakpoints=_panel_points(M, grid, [x for x, _ in M.atoms()]))
     return -v
 
 
@@ -446,16 +442,10 @@ def nu_r_signed(M: SignedMeasure, r: int,
     if M.has_density:
         grid = metric_grid(M)
         roots = sign_roots(M.density, refine_grid(grid, 2))
-        pts = [grid[0]] + sorted(set(roots)) + [grid[-1]]
-        feats = sorted(set([0.0] + M.density_breakpoints()))
-        sings = M.density_singularities()
-        for a, b in zip(pts[:-1], pts[1:]):
-            v, e = integrate(lambda x: abs(x) ** r * float(M.density(x)), a, b,
-                             tol.scaled(1.0 / max(len(pts), 1)),
-                             breakpoints=[c for c in feats if a < c < b],
-                             singularities=sings)
-            total += abs(v)
-            err += e
+        v, err = integrate(lambda x: np.abs(x) ** r * np.abs(M.density(x)),
+                           grid[0], grid[-1], tol, breakpoints=_panel_points(M, grid, roots),
+                           singularities=M.density_singularities())
+        total += v
     return MetricValue(total, err + 1e-12 * max(1.0, total), "quadrature",
                        certificate={"finite": True})
 

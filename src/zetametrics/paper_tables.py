@@ -59,7 +59,7 @@ def example_1_4() -> Tuple[List[Dict], bool]:
     """Discretised standard normal at eta in {1, 1/10, 1/100}."""
     rows: List[Dict] = []
     ok = True
-    tol = Tolerance(1e-10, 1e-8, 60)
+    tol = Tolerance(1e-10, 1e-8)
     for eta, quotes in _EXAMPLE_1_4_QUOTES.items():
         P = rounded(eta, 0.0, normal())
         Pt = standardise(P)
@@ -92,7 +92,7 @@ def zolotarev_measure() -> SignedMeasure:
 
 def zolotarev_M() -> Tuple[List[Dict], bool]:
     M = zolotarev_measure()
-    tol = Tolerance(1e-10, 1e-8, 60)
+    tol = Tolerance(1e-10, 1e-8)
     rows: List[Dict] = []
     ok = True
 
@@ -121,7 +121,7 @@ def zolotarev_M() -> Tuple[List[Dict], bool]:
 def subbotin_table() -> Tuple[List[Dict], bool]:
     rows: List[Dict] = []
     ok = True
-    tol = Tolerance(1e-10, 1e-8, 60)
+    tol = Tolerance(1e-10, 1e-8)
 
     def z3(beta):
         P = subbotin(beta)

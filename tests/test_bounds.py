@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,10 +30,12 @@ class TestConstants:
             assert abs(got - want) < 1.5e-6
 
     def test_phi4_l1_by_quadrature(self):
-        # independent check: total variation integral of phi'''
-        f = lambda x: abs(x ** 4 - 6 * x * x + 3) * zm.std_normal_pdf(x)
-        v, _ = zm.integrate(f, -math.inf, math.inf, zm.Tolerance(1e-11, 1e-9, 60),
-                            breakpoints=[-2.334, -0.742, 0.742, 2.334])
+        # independent check: total variation integral of phi''', whose
+        # kinks sit at the roots x^2 = 3 +- sqrt(6) of the Hermite factor
+        f = lambda x: np.abs(x ** 4 - 6 * x * x + 3) * zm.std_normal_pdf(x)
+        roots = [math.sqrt(3.0 - math.sqrt(6.0)), math.sqrt(3.0 + math.sqrt(6.0))]
+        v, _ = zm.integrate(f, -40.0, 40.0, zm.Tolerance(1e-11, 1e-9),
+                            breakpoints=[-roots[1], -roots[0], roots[0], roots[1]])
         assert abs(v - CONSTANTS.phi_deriv_L1[4]) < 1e-8
 
     def test_derived_sup_constants(self):
@@ -59,6 +62,13 @@ class TestGEta:
     def test_vectorized(self):
         out = g_eta(np.array([0.0, 1.0]))
         assert abs(out[0] - g_eta(0.0)) < 1e-12 and abs(out[1] - g_eta(1.0)) < 1e-12
+
+    def test_hurwitz_zeta_oracle(self):
+        etas = np.concatenate([[0.0], np.logspace(-6, 5, 45)])
+        got = g_eta(etas)
+        for eta, g in zip(etas, got):
+            assert abs(g - float(mpmath.zeta(1.5, 1.0 + eta * eta))) < 1e-12
+        assert abs(CONSTANTS.zeta_R32 - float(mpmath.zeta(1.5))) < 1e-12
 
 
 class TestXi:

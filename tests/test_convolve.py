@@ -84,6 +84,12 @@ class TestCdfConvolution2:
             got = zm.conv2_law(zm.dirac(1.0), Q).cdf(x)
             assert abs(got - Q.cdf(x - 1.0)) < 1e-12
 
+    def test_pdf_sees_a_narrow_factor(self):
+        # U(-1, 1) * Gamma(2): the density at 2.5 is the mass of y e^-y / 2
+        # on [1.5, 3.5], a window much narrower than the gamma's support
+        got = zm.conv2_law(zm.uniform(-1.0, 1.0), zm.gamma_power(2.0)).pdf(2.5)
+        assert abs(got - 0.5 * (2.5 * math.exp(-1.5) - 4.5 * math.exp(-3.5))) < 1e-10
+
     def test_winsorised_two_fold_asymptotics(self):
         # F*2(-t) = Phi(-t/sqrt2) - (2/sqrt(2 pi)) phi(t)/t^2 + O(phi(t)/t^3)
         t = 3.0

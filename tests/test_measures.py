@@ -229,6 +229,14 @@ class TestSignedMeasures:
         assert zm.kolmogorov(M).value == 1.0
         assert zm.signed_diff(zm.dirac(0.5), zm.atoms_law([(0.5, 1.0)])).atoms() == []
 
+    def test_mixture_atoms_merge_only_when_equal(self):
+        # Mixture.cdf sums the parts' own CDFs, as SignedMeasure.cdf does
+        P = zm.mixture([(0.5, zm.dirac(0.0)), (0.5, zm.dirac(1e-13))])
+        assert P.atoms() == [(0.0, 0.5), (1e-13, 0.5)]
+        M = zm.signed_diff(P, zm.dirac(0.0))
+        assert zm.nu_r_signed(M, 0).value == 1.0
+        assert zm.kolmogorov(M).value == 0.5
+
 
 class TestLatticeSpan:
     def test_bernoulli(self):

@@ -84,6 +84,18 @@ class TestKappa:
         expect = (3.0 ** (r / 2) + (2 * SQRT3 - 3) * r / 3 - 1) / (r + 1)
         assert abs(zm.kappa_r(zolotarev_M(), r).value - expect) < 1e-8
 
+    def test_order_below_one_blows_up_at_zero(self):
+        # r |x|^(r-1) is infinite at 0; scipy's quad on the atom-free
+        # pieces is the oracle
+        from scipy.integrate import quad
+        M = btilde_minus_N(0.3)
+        f = lambda x: 0.5 * abs(x) ** -0.5 * abs(float(M.cdf(x)))
+        pts = sorted({-12.0, 0.0, 12.0, *(x for x, _ in M.atoms())})
+        oracle = sum(quad(f, a, b, limit=500, epsabs=1e-13, epsrel=1e-13)[0]
+                     for a, b in zip(pts[:-1], pts[1:]))
+        for engine in ("auto", "quadrature"):
+            assert abs(zm.kappa_r(M, 0.5, engine=engine).value - oracle) < 1e-10
+
     def test_mass_nonzero_rejected(self):
         with pytest.raises(MassNotZeroError):
             zm.kappa_r(zm.SignedMeasure([(1.0, zm.normal()),
@@ -205,6 +217,14 @@ class TestZetaValues:
         v = zm.zeta_r(M, 3, engine="quadrature")
         assert abs(v.value - 1 / (3 * math.sqrt(a))) < 1e-5
 
+    def test_tail_rounding_noise_adds_no_segments(self):
+        # F_4 of U~ - N keeps one sign: zeta_4 = |mu_4(M)| / 24 = (3 - 9/5) / 24
+        M = zm.signed_diff(zm.standardise(zm.uniform(0.0, 1.0)), zm.STANDARD_NORMAL)
+        v = zm.zeta_r(M, 4)
+        assert abs(v.value - 0.05) < 1e-13 and v.certificate["segments"] == 0
+        assert [zm.zeta_r(zolotarev_M(), r).certificate["segments"]
+                for r in (2, 3, 4)] == [4, 3, 2]
+
     def test_zeta1_delegates_to_kappa(self):
         v = zm.zeta_r(btilde_minus_N(), 1)
         assert abs(v.value - GT_VALUE) < 1e-12
@@ -265,6 +285,16 @@ class TestNuSigned:
     def test_zolotarev_formula(self, r):
         v = zm.nu_r_signed(zolotarev_M(), r)
         assert abs(v.value - (3.0 ** (r / 2) / (r + 1) + 1)) < 1e-8
+
+    @pytest.mark.parametrize("eta", [0.25, 0.5, 1.0])
+    def test_disjoint_parts_add(self, eta):
+        # the atoms of the rounded exponential and the normal density share
+        # no mass, so nu_r of their difference is the sum of their nu_r
+        Pt = zm.standardise(zm.rounded(eta, 0.0, zm.gamma_power(1.0)))
+        M = zm.signed_diff(Pt, zm.STANDARD_NORMAL)
+        for r in range(4):
+            expect = Pt.nu(r) + zm.STANDARD_NORMAL.nu(r)
+            assert abs(zm.nu_r_signed(M, r).value - expect) < 1e-9
 
     def test_pseudomoment_inequality(self):
         c = 1 + 4 / SQRT_2PI
