@@ -296,12 +296,14 @@ def build_zeta_stack(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
                      endpoint_decay=(abs(float(f_r(grid[0]))), abs(float(f_r(grid[-1])))))
 
 
-def _segment_points(M: SignedMeasure, fn: Callable, grid: np.ndarray) -> List[float]:
-    """Sign changes of fn (6 samples per grid panel) and the atoms of M
-    strictly inside the grid, sorted."""
-    pts = set(sign_roots(fn, refine_grid(grid, 6)))
-    pts.update(x for x, _ in M.atoms() if grid[0] < x < grid[-1])
-    return sorted(pts)
+def _segment_points(M: SignedMeasure, fn: Callable,
+                    grid: np.ndarray) -> Tuple[List[float], float]:
+    """(points, band): the sign changes of fn (6 samples per grid panel)
+    and the atoms of M strictly inside the grid, sorted, and the zero band
+    of the sign scan."""
+    roots, band = sign_roots(fn, refine_grid(grid, 6))
+    pts = set(roots) | {x for x, _ in M.atoms() if grid[0] < x < grid[-1]}
+    return sorted(pts), band
 
 
 def _panel_points(M: SignedMeasure, grid: np.ndarray, seg: List[float]) -> List[float]:
@@ -312,15 +314,18 @@ def _panel_points(M: SignedMeasure, grid: np.ndarray, seg: List[float]) -> List[
 
 
 def _telescope(M: SignedMeasure, f_k: Callable, f_k1: Callable,
-               grid: np.ndarray) -> Tuple[float, int]:
-    """(integral of |F_k| over the grid, segment count).
+               grid: np.ndarray) -> Tuple[float, int, float]:
+    """(integral of |F_k| over the grid, segment count, band loss).
 
     F_{k+1}' = -F_k, so on each segment between consecutive sign changes
-    of F_k the integral of |F_k| is |F_{k+1}(b) - F_{k+1}(a)| exactly.
+    of F_k the integral of |F_k| is |F_{k+1}(b) - F_{k+1}(a)| exactly.  A
+    lobe of F_k inside the zero band of the sign scan is merged into its
+    neighbours and lost twice over, so the loss is at most twice the band
+    times the grid width.
     """
-    seg = _segment_points(M, f_k, grid)
+    seg, band = _segment_points(M, f_k, grid)
     vals = np.asarray(f_k1(np.array([grid[0]] + seg + [grid[-1]])), dtype=float)
-    return float(np.sum(np.abs(np.diff(vals)))), len(seg)
+    return float(np.sum(np.abs(np.diff(vals)))), len(seg), 2.0 * band * (grid[-1] - grid[0])
 
 
 def zeta_r(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
@@ -332,8 +337,8 @@ def zeta_r(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
         out.certificate = (out.certificate or {}) | {"delegated": "kappa_1"}
         return out
     stack = build_zeta_stack(M, r, tol, engine=engine, depth=r + 1)
-    total, n_seg = _telescope(M, stack.F(r), stack.F(r + 1), stack.grid)
-    err = stack.err_est + max(stack.endpoint_decay) * (stack.grid[-1] - stack.grid[0]) * 1e-3
+    total, n_seg, loss = _telescope(M, stack.F(r), stack.F(r + 1), stack.grid)
+    err = stack.err_est + loss + max(stack.endpoint_decay) * (stack.grid[-1] - stack.grid[0]) * 1e-3
     method = "closed_form" if stack.engine == "closed" else "quadrature"
     return MetricValue(total, err + 1e-12 * max(1.0, total), method,
                        certificate={"segments": n_seg,
@@ -368,10 +373,10 @@ def kappa_r(M: SignedMeasure, r: float, tol: Tolerance = DEFAULT_TOL,
             f2 = lambda x: np.asarray(cum.fn(x), dtype=float)
         else:
             f2 = closed_measure_stack(M, 2)
-        total, n_seg = _telescope(M, f1, f2, grid)
-        return MetricValue(total, 1e-11 * max(1.0, total) + 1e-13, method,
+        total, n_seg, loss = _telescope(M, f1, f2, grid)
+        return MetricValue(total, loss + 1e-11 * max(1.0, total) + 1e-13, method,
                            certificate={"segments": n_seg})
-    seg = _segment_points(M, f1, grid)
+    seg, _ = _segment_points(M, f1, grid)
     total, err = integrate(lambda x: r * np.abs(x) ** (r - 1.0) * np.abs(f1(x)),
                            grid[0], grid[-1], tol, breakpoints=_panel_points(M, grid, seg))
     return MetricValue(total, err + 1e-12 * max(1.0, total), method,
@@ -441,7 +446,7 @@ def nu_r_signed(M: SignedMeasure, r: int,
     err = 0.0
     if M.has_density:
         grid = metric_grid(M)
-        roots = sign_roots(M.density, refine_grid(grid, 2))
+        roots, _ = sign_roots(M.density, refine_grid(grid, 2))
         v, err = integrate(lambda x: np.abs(x) ** r * np.abs(M.density(x)),
                            grid[0], grid[-1], tol, breakpoints=_panel_points(M, grid, roots),
                            singularities=M.density_singularities())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -205,6 +205,12 @@ _GL_W = np.array([0.29552422471475287, 0.26926671930999635, 0.21908636251598204,
                   0.1494513491505806, 0.06667134430868814])
 _GL_X = np.concatenate([-_GL_X[::-1], _GL_X])
 _GL_W = np.concatenate([_GL_W[::-1], _GL_W])
+# a probe at u = -_END_U, just inside the left end of [-1, 1], and the
+# Lagrange weights that extrapolate the rule's interpolant there (mirrored
+# for the right end)
+_END_U = 1.0 - 1e-9
+_GL_END = np.array([np.prod([(-_END_U - xk) / (xj - xk) for xk in _GL_X if xk != xj])
+                    for xj in _GL_X])
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -220,13 +226,18 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     its two estimates agree within its width's share of tol.abs_tol, and
     all open panels are when their summed disagreements fit in what the
     accepted ones left of tol.abs_tol (a jump that is no breakpoint never
-    meets its share); the rest are bisected.  No node lies on a panel end,
-    so f needs no one-sided value at a jump.  ``singularities`` declare
-    integrable blow-ups milder than |x - s|^(-5/6); a panel next to one,
-    or next to an end where f is not finite, is integrated in t with
-    x = s +- t^6.  Returns (value, err_est); raises ConvergenceError when
-    a panel estimate is not finite, or when the node budget runs out
-    before err_est is within max(abs_tol, rel_tol * |value|).
+    meets its share); the rest are bisected.  Neither estimate has a node
+    between a panel end and the outermost node of its half, so f is also
+    probed just inside each end, and the gap to the half's interpolant
+    there, times the width of that unseen strip, joins the disagreement: a
+    kink or jump next to an end is bisected, not accepted.  No node lies on
+    a panel end, so f needs no one-sided value at a jump.
+    ``singularities`` declare integrable blow-ups milder than
+    |x - s|^(-5/6); a panel next to one, or next to an end where f is not
+    finite, is integrated in t with x = s +- t^6 (and not probed at its
+    centre).  Returns (value, err_est); raises ConvergenceError when a
+    panel estimate is not finite, or when the node budget runs out before
+    err_est is within max(abs_tol, rel_tol * |value|).
     """
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise DomainError(f"integrate needs finite a <= b, got [{a}, {b}]")
@@ -267,16 +278,31 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         mid = 0.5 * (lo + hi)
         half = 0.5 * np.stack([hi - lo, mid - lo, hi - mid], axis=1)
         t = (np.stack([lo, lo, mid], axis=1) + half)[..., None] + half[..., None] * _GL_X
-        x, jac = t.copy(), np.ones_like(t)
+        # then a probe just inside each end
+        inset = (1.0 - _END_U) * half[:, 1]
+        t = np.concatenate([t.reshape(len(lo), -1), (lo + inset)[:, None],
+                            (hi - inset)[:, None]], axis=1)
         m = sign != 0
-        x[m] = centre[m, None, None] + sign[m, None, None] * t[m] ** 6
-        jac[m] = 6.0 * t[m] ** 5
-        vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape) * jac
+        mapped = bool(m.any())
+        x = t
+        if mapped:
+            at_centre = m & (lo == 0.0)      # no probe there: f blows up
+            t[at_centre, -2] = mid[at_centre]
+            x = t.copy()
+            x[m] = centre[m, None] + sign[m, None] * t[m] ** 6
+        vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        if mapped:
+            vals[m] *= 6.0 * t[m] ** 5
         budget -= vals.size
+        probes, vals = vals[:, -2:], vals[:, :-2].reshape(-1, 3, _GL_X.size)
         est = half * (vals @ _GL_W)
         halves = est[:, 1] + est[:, 2]
-        delta = np.abs(halves - est[:, 0])
-        if not np.all(np.isfinite(halves)):
+        gap_lo = np.abs(probes[:, 0] - vals[:, 1] @ _GL_END)
+        if mapped:
+            gap_lo[at_centre] = 0.0
+        gaps = gap_lo + np.abs(probes[:, 1] - vals[:, 2] @ _GL_END[::-1])
+        delta = np.abs(halves - est[:, 0]) + (1.0 - _GL_X[-1]) * half[:, 1] * gaps
+        if not np.all(np.isfinite(halves) & np.isfinite(delta)):
             raise ConvergenceError("quadrature estimate is not finite",
                                    total + float(np.sum(halves)), math.inf)
         # below the rounding floor of the panel values no refinement can help
@@ -536,17 +562,18 @@ def refine_grid(grid: np.ndarray, k: int) -> np.ndarray:
         [grid] + [grid[:-1] + np.diff(grid) * j / k for j in range(1, k)]))
 
 
-def sign_roots(f: Callable, xs: np.ndarray) -> List[float]:
-    """Roots of the vectorized ``f`` at the sign alternations of its
-    samples on the sorted points ``xs``.
+def sign_roots(f: Callable, xs: np.ndarray) -> Tuple[List[float], float]:
+    """(roots, band): roots of the vectorized ``f`` at the sign alternations
+    of its samples on the sorted points ``xs``, and the zero band.
 
-    Samples within 1e-11 * max|f(xs)| of zero do not count as a sign (the
-    closed-form stacks cancel only to about 1e-14 absolute in the tails);
-    each alternation between off-band samples brackets one root, located
-    by find_root on the scalar function.
+    Samples within band = 1e-11 * max|f(xs)| of zero do not count as a sign
+    (the closed-form stacks cancel only to about 1e-14 absolute in the
+    tails), so a lobe of f that stays inside the band is merged into its
+    neighbours; each alternation between off-band samples brackets one
+    root, located by find_root on the scalar function.
     """
     vals = np.asarray(f(xs), dtype=float)
     band = 1e-11 * float(np.max(np.abs(vals)) or 1.0)
     _, _, pairs = scan_sign_changes(vals, band)
     scalar = lambda t: float(f(t))
-    return [find_root(scalar, float(xs[i]), float(xs[j]), tol=1e-13) for i, j in pairs]
+    return [find_root(scalar, float(xs[i]), float(xs[j]), tol=1e-13) for i, j in pairs], band

@@ -30,12 +30,10 @@ class TestConstants:
             assert abs(got - want) < 1.5e-6
 
     def test_phi4_l1_by_quadrature(self):
-        # independent check: total variation integral of phi''', whose
-        # kinks sit at the roots x^2 = 3 +- sqrt(6) of the Hermite factor
+        # independent check: total variation integral of phi'''
         f = lambda x: np.abs(x ** 4 - 6 * x * x + 3) * zm.std_normal_pdf(x)
-        roots = [math.sqrt(3.0 - math.sqrt(6.0)), math.sqrt(3.0 + math.sqrt(6.0))]
         v, _ = zm.integrate(f, -40.0, 40.0, zm.Tolerance(1e-11, 1e-9),
-                            breakpoints=[-roots[1], -roots[0], roots[0], roots[1]])
+                            breakpoints=[-2.334, -0.742, 0.742, 2.334])
         assert abs(v - CONSTANTS.phi_deriv_L1[4]) < 1e-8
 
     def test_derived_sup_constants(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import zetametrics as zm
-from zetametrics.metrics import (MassNotZeroError, MomentConditionError,
+from zetametrics.metrics import (MassNotZeroError, MomentConditionError, _telescope,
                                  closed_measure_stack)
 from zetametrics.numerics import GridFunction
 
@@ -224,6 +224,17 @@ class TestZetaValues:
         assert abs(v.value - 0.05) < 1e-13 and v.certificate["segments"] == 0
         assert [zm.zeta_r(zolotarev_M(), r).certificate["segments"]
                 for r in (2, 3, 4)] == [4, 3, 2]
+
+    def test_lobe_inside_zero_band_is_in_the_loss(self):
+        # F_k = 1 on [-1, 1) and -5e-12 on [1, 2]: the second lobe is inside
+        # the zero band 1e-11 * max|F_k|, so it is merged into the first
+        f_k = lambda x: np.where(np.asarray(x) < 1.0, 1.0, -5e-12)
+        f_k1 = lambda x: np.where(np.asarray(x) < 1.0, -(np.asarray(x) + 1.0),
+                                  -2.0 + 5e-12 * (np.asarray(x) - 1.0))
+        total, n_seg, loss = _telescope(zm.SignedMeasure([]), f_k, f_k1,
+                                        np.linspace(-1.0, 2.0, 31))
+        assert n_seg == 0
+        assert 1e-11 - 1e-14 < abs(total - (2.0 + 5e-12)) <= loss
 
     def test_zeta1_delegates_to_kappa(self):
         v = zm.zeta_r(btilde_minus_N(), 1)

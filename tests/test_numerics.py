@@ -102,6 +102,18 @@ class TestIntegrate:
                             nm.Tolerance(1e-12, 1e-10), breakpoints=[-1.0, 0.0, 2.0])
         assert abs(v - (1.0 + 2.0 ** (r + 1)) / (3.0 * (r + 1))) < 1e-12
 
+    @pytest.mark.parametrize("gap", [1e-4, 1e-7])
+    def test_feature_next_to_breakpoint(self, gap):
+        # a jump and a kink just inside the wide panel [0.3, 40], nearer to
+        # its end than the outermost node of the panel or of its halves
+        c = 0.3 + gap
+        cases = [(lambda x: (x > c).astype(float), 40.0 - c),
+                 (lambda x: np.abs(x - c) * np.exp(-x),
+                  c - 1.0 + 2.0 * math.exp(-c) - (41.0 - c) * math.exp(-40.0))]
+        for f, exact in cases:
+            v, _ = nm.integrate(f, 0.0, 40.0, nm.Tolerance(1e-12, 1e-10), breakpoints=[0.3])
+            assert abs(v - exact) < 1e-11
+
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_declared_singularity(self, k):
         # the gamma density with alpha = 1/2 blows up like x^(-1/2) at 0
@@ -185,13 +197,13 @@ class TestSignChanges:
     def test_constant_positive(self):
         ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
         assert nm.scan_sign_changes(ones(self.XS), 0.0) == (0, 1, [])
-        assert nm.sign_roots(ones, self.XS) == []
+        assert nm.sign_roots(ones, self.XS)[0] == []
 
     def test_linear(self):
         lin = lambda x: np.asarray(x, dtype=float)
         count, first, _ = nm.scan_sign_changes(lin(self.XS), 0.0)
         assert (count, first) == (1, -1)
-        (root,) = nm.sign_roots(lin, self.XS)
+        (root,), _ = nm.sign_roots(lin, self.XS)
         assert abs(root) < 1e-13
 
     def test_truncated_normal_cdf_gap(self):
@@ -203,7 +215,7 @@ class TestSignChanges:
         vals = fn(xs)
         count, first, _ = nm.scan_sign_changes(vals, 1e-9 * np.max(np.abs(vals)))
         assert (count, first) == (2, -1)
-        roots = nm.sign_roots(fn, xs)
+        roots, _ = nm.sign_roots(fn, xs)
         assert len(roots) == 2
         assert np.max(np.abs(fn(np.array(roots)))) < 1e-14
 
@@ -221,7 +233,7 @@ class TestSignChanges:
         xs = np.linspace(-1, 1, 21)
         count, first, _ = nm.scan_sign_changes(cube(xs), 0.0)
         assert (count, first) == (1, -1)
-        (root,) = nm.sign_roots(cube, xs)
+        (root,), _ = nm.sign_roots(cube, xs)
         assert abs(root) < 1e-12
 
     def test_refine_grid_adds_interior_points(self):
