@@ -140,10 +140,11 @@ def cmd_bounds(args) -> int:
     reports = all_bounds(prof, args.n, args.tol)
     rows = []
     lhs_val: Optional[float] = None
+    lhs_reason = ""
     try:
         lhs_val = clt_lhs(P, args.n, mode="exact_lattice").value
-    except (ConvolveError, ValueError):
-        lhs_val = None
+    except (ConvolveError, ValueError) as exc:
+        lhs_reason = str(exc)
     for bid in wanted:
         if bid not in reports:
             raise SpecParseError(f"unknown bound id {bid!r}; known: "
@@ -151,7 +152,8 @@ def cmd_bounds(args) -> int:
         rep = reports[bid]
         rows.append({"bound": rep.bound_id, "rhs": rep.rhs,
                      "applicable": rep.applicable, "reason": rep.reason,
-                     "clt_lhs": lhs_val if lhs_val is not None else ""})
+                     "clt_lhs": lhs_val if lhs_val is not None else "",
+                     "clt_lhs_reason": lhs_reason})
     if not any(r["applicable"] for r in rows):
         print("no applicable bound", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -1164,7 +1164,7 @@ class Conv2(LawSpec):
             plo, phi_ = self.p.support(1e-15)
             bps = sorted({x - b for b in ([plo, phi_] + self.p.density_breakpoints()
                                           + [a for a, _ in self.p.atoms()])}
-                         | set(self.q.density_breakpoints()))
+                         | set(self.q.density_breakpoints()) | set(_part_ends(self.q)))
             f = lambda y: (np.asarray(self.p.cdf(x - y), dtype=float)
                            * np.asarray(self.q.pdf(y), dtype=float))
             v, _ = integrate(f, lo, hi, self.tol, breakpoints=bps)
@@ -1193,7 +1193,8 @@ class Conv2(LawSpec):
                 lo, hi = self.q.support(1e-15)
                 f = lambda y: (np.asarray(self.p.pdf(v - y), dtype=float)
                                * np.asarray(self.q.pdf(y), dtype=float))
-                bps = self.q.density_breakpoints() + [v - b for b in self.p.density_breakpoints()]
+                bps = (self.q.density_breakpoints() + _part_ends(self.q)
+                       + [v - b for b in self.p.density_breakpoints() + _part_ends(self.p)])
                 val, _ = integrate(f, lo, hi, self.tol, breakpoints=bps)
                 total += val
             out[i] = total
@@ -1235,6 +1236,16 @@ class Conv2(LawSpec):
 
     def to_dict(self):
         return {"family": "conv2", "p": self.p.to_dict(), "q": self.q.to_dict()}
+
+
+def _part_ends(law: LawSpec) -> List[float]:
+    """The support ends of a mixture's continuous parts, nested ones too: a
+    narrow part can fall between all quadrature nodes unless its ends are
+    breakpoints."""
+    if not isinstance(law, Mixture):
+        return []
+    return [e for _, part in law.parts if part.has_density
+            for e in (*part.support(1e-15), *_part_ends(part))]
 
 
 def conv2_law(p: LawSpec, q: LawSpec) -> LawSpec:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,9 +18,16 @@ NORMAL2 = '{"family":"normal","mu":0,"sigma":2}'
 BERN = '{"family":"bernoulli","p":0.5}'
 
 
-def run_cli(args, **kw):
+# the directory holding the zetametrics package these tests import
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def run_cli(args, env=None):
+    """Run ``python -m zetametrics.cli`` on the package these tests import."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "zetametrics.cli"] + args,
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True, env=env)
 
 
 class TestMetricCommand:
@@ -75,9 +83,10 @@ class TestBoundsCommand:
         out = capsys.readouterr().out
         assert rc == 0
         rows = list(csv.DictReader(io.StringIO(out)))
-        assert {"bound", "rhs", "applicable", "reason", "clt_lhs"} \
+        assert {"bound", "rhs", "applicable", "reason", "clt_lhs", "clt_lhs_reason"} \
             == set(rows[0].keys())
         lhs = float(rows[0]["clt_lhs"])
+        assert all(row["clt_lhs_reason"] == "" for row in rows)
         for row in rows:
             if row["applicable"] == "True" and row["bound"] not in (
                     "zolotarev_zeta1", "goldstein_tyurin"):
@@ -90,6 +99,16 @@ class TestBoundsCommand:
         for row in out:
             if row["bound"] in ("be_main", "be_kappa", "shiganov_combined"):
                 assert float(row["rhs"]) < 1e-8
+
+    def test_lhs_failure_reason(self, capsys):
+        # a normal law has no lattice power: the cell stays empty and the
+        # reason says why
+        rc = cli.main(["bounds", "--spec", NORMAL, "--n", "4", "--csv"])
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rc == 0
+        for row in rows:
+            assert row["clt_lhs"] == ""
+            assert row["clt_lhs_reason"] == "lattice_of needs a purely atomic law"
 
     def test_rounded_normal_table_mirrors_example(self, capsys):
         # n = 2 slice of the discretised-normal example: the zeta-based

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import zetametrics as zm
-from zetametrics.convolve import ModeError, SpanMismatchError
+from zetametrics.convolve import (_DIRECT_CAP, MAX_LATTICE_ENTRIES, ConvolveError,
+                                  ModeError, SpanMismatchError, _fft_size,
+                                  _lattice_vs_normal_sup, _power_direct)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 RNG = np.random.default_rng(99)
@@ -72,6 +74,61 @@ class TestPowerLattice:
             assert abs(got - direct) < 1e-14
 
 
+class TestFftPower:
+    """Past the size cap the FFT power agrees with direct convolution."""
+
+    CASES = [("bernoulli(0.1)", zm.bernoulli(0.1), 20000),
+             ("bernoulli(0.5)", zm.bernoulli(0.5), 20000),
+             ("rounded_gamma(a=2,eta=0.25)", zm.rounded(0.25, 0.0, zm.gamma_power(2.0)), 300),
+             ("uniform_lattice_4", zm.atoms_law([(float(k), 0.25) for k in range(4)]), 10000)]
+
+    @pytest.mark.parametrize("name,law,n", CASES, ids=[c[0] for c in CASES])
+    def test_matches_direct(self, name, law, n):
+        L = zm.lattice_of(law)
+        fft = zm.power_lattice(L, n)
+        direct = _power_direct(L, n)
+        N = direct.weights.size
+        assert N > _DIRECT_CAP and fft.fft_size >= N and direct.fft_size == 0
+        assert fft.weights.size == N and fft.shift == pytest.approx(direct.shift, abs=1e-9)
+        # each entry is off by at most the noise floor plus the share of the
+        # renormalisation, which moves the mass by at most N floors
+        floor = fft.noise_floor
+        assert 0 < floor < 1e-12 * direct.weights.max()
+        gap = np.abs(fft.weights - direct.weights)
+        assert np.all(gap <= 2 * floor * (1.0 + N * direct.weights))
+        mean, sd = n * law.mean, math.sqrt(n) * law.std
+        sup_fft, _ = _lattice_vs_normal_sup(fft, mean, sd)
+        sup_direct, _ = _lattice_vs_normal_sup(direct, mean, sd)
+        out = zm.clt_lhs(law, n)
+        assert out.value == sup_fft
+        assert out.certificate["engine"] == "fft"
+        assert out.certificate["fft_size"] == fft.fft_size
+        assert out.certificate["atoms"] == int((fft.weights > 0).sum())
+        assert abs(sup_fft - sup_direct) <= out.err_est
+
+    def test_fft_size_is_smallest_5_smooth(self):
+        def smooth(k):
+            for f in (2, 3, 5):
+                while k % f == 0:
+                    k //= f
+            return k == 1
+        for n in range(1, 3000):
+            assert _fft_size(n) == next(k for k in range(n, 2 * n + 1) if smooth(k))
+
+    def test_below_cap_is_direct(self):
+        out = zm.clt_lhs(zm.bernoulli(0.3), 64)
+        assert out.certificate["engine"] == "direct"
+        assert out.certificate["fft_size"] == 0 and out.err_est == 1e-13
+
+    def test_entry_budget_checked_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("convolved past the entry budget")
+        monkeypatch.setattr("zetametrics.convolve.convolve_atomic", no_work)
+        L = zm.lattice_of(zm.bernoulli(0.5))
+        with pytest.raises(ConvolveError, match="entry budget"):
+            zm.power_lattice(L, MAX_LATTICE_ENTRIES)
+
+
 class TestCdfConvolution2:
     def test_normal_pair(self):
         for x in (-1.5, 0.0, 0.7, 2.3):
@@ -89,6 +146,24 @@ class TestCdfConvolution2:
         # on [1.5, 3.5], a window much narrower than the gamma's support
         got = zm.conv2_law(zm.uniform(-1.0, 1.0), zm.gamma_power(2.0)).pdf(2.5)
         assert abs(got - 0.5 * (2.5 * math.exp(-1.5) - 4.5 * math.exp(-3.5))) < 1e-10
+
+    def test_narrow_mixture_part_is_seen(self):
+        # the N(17.3, 1e-4) part is far narrower than the node spacing of a
+        # panel over the mixture's support; its ends are breakpoints, also
+        # inside a nested mixture whose own support is wide
+        narrow = zm.normal(17.3, 1e-4)
+        q = zm.mixture([(0.5, zm.normal(0.0, 1.0)), (0.5, narrow)])
+        nested = zm.mixture([(0.5, zm.normal(0.0, 1.0)),
+                             (0.5, zm.mixture([(0.5, zm.normal(-3.0, 1.0)), (0.5, narrow)]))])
+        u = zm.uniform(-1.0, 1.0)
+        # (law, cdf at 17.3, pdf at 17.3): the narrow part holds half its
+        # mass below 17.3, and U(-1, 1) spreads it at density 1/2
+        cases = [(zm.conv2_law(u, q), 0.75, 0.25), (zm.conv2_law(q, u), 0.75, 0.25),
+                 (zm.conv2_law(u, nested), 0.875, 0.125)]
+        for C, cdf, pdf in cases:
+            assert abs(C.cdf(30.0) - 1.0) < 1e-10
+            assert abs(C.cdf(17.3) - cdf) < 1e-10
+            assert abs(C.pdf(17.3) - pdf) < 1e-10
 
     def test_winsorised_two_fold_asymptotics(self):
         # F*2(-t) = Phi(-t/sqrt2) - (2/sqrt(2 pi)) phi(t)/t^2 + O(phi(t)/t^3)
@@ -116,6 +191,16 @@ class TestCltLhs:
         nu3 = (0.5 + 2 * (pE - 0.5) ** 2) / math.sqrt(pE * (1 - pE))
         v = zm.clt_lhs(zm.bernoulli(pE), 400)
         assert abs(20.0 * v.value - cE * nu3) < 0.05 * cE * nu3
+
+    @pytest.mark.parametrize("p", [0.5, 0.1])
+    def test_sqrt_n_lhs_approaches_esseen(self, p):
+        # sqrt(n) || B~^{*n} - N ||_K -> (h/2 + |mu_3|/6) / sqrt(2 pi)
+        P = zm.bernoulli(p)
+        target = zm.esseen_asymptotic(P)
+        gaps = [abs(math.sqrt(n) * zm.clt_lhs(P, n).value - target) / target
+                for n in (10 ** 4, 10 ** 5, 10 ** 6)]
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] < 1e-5
 
     def test_lattice_approx_reports_heuristic(self):
         v = zm.clt_lhs(zm.normal(), 3, mode="lattice_approx", eta=0.5)

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import zetametrics as zm
 
@@ -11,8 +11,8 @@ FEW = settings(max_examples=25, deadline=None)
 
 
 @st.composite
-def atomic_laws(draw):
-    n = draw(st.integers(1, 5))
+def atomic_laws(draw, min_atoms=1):
+    n = draw(st.integers(min_atoms, 5))
     locs = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
     w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
     return zm.atoms_law(list(zip(locs, (w / w.sum()).tolist())))
@@ -38,6 +38,26 @@ def test_kappa1_translation_invariant_and_homogeneous(P, Q, a, lam):
     slack = 1e-9 * max(1.0, lam * k1)
     assert abs(zm.kappa_r(M.translated(a), 1.0).value - k1) <= slack
     assert abs(zm.kappa_r(M.scaled(lam), 1.0).value - lam * k1) <= slack
+
+
+@st.composite
+def standardised_atomic_laws(draw):
+    P = draw(atomic_laws(min_atoms=2))
+    assume(P.std > 0.05)
+    return zm.standardise(P)
+
+
+@FEW
+@given(standardised_atomic_laws(), standardised_atomic_laws(), st.sampled_from([2, 3]),
+       st.floats(-3.0, 3.0), st.floats(0.1, 10.0))
+def test_zeta_r_translation_invariant_and_homogeneous(P, Q, r, a, lam):
+    # equal means and variances make mu_0 .. mu_2 of P - Q vanish, so
+    # zeta_2 and zeta_3 are finite; zeta_r(M o (x -> lam x)) = lam^r zeta_r(M)
+    M = zm.signed_diff(P, Q)
+    z = zm.zeta_r(M, r).value
+    slack = 1e-9 * max(1.0, lam ** r * z)
+    assert abs(zm.zeta_r(M.translated(a), r).value - z) <= slack
+    assert abs(zm.zeta_r(M.scaled(lam), r).value - lam ** r * z) <= slack
 
 
 @FEW
