@@ -2,9 +2,10 @@
 
 Special functions (normal CDF/quantile, regularized incomplete gamma),
 adaptive Gauss-Legendre quadrature of vectorized integrands on finite
-intervals, grid-backed cumulative integration, root and golden-section
-searches, grid refinement, and sign-change counting and root location.  Everything
-here is pure and operates on plain floats / numpy arrays; no
+intervals, grid-backed cumulative integration, bracketed root finding
+(many brackets in lockstep, one vectorized call per step), golden-section
+search, grid refinement, and sign-change counting and root location.
+Everything here is pure and operates on plain floats / numpy arrays; no
 probability-specific types appear.
 """
 
@@ -322,38 +323,77 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         share = np.tile(0.5 * share[keep], 2)
 
 
-def find_root(f: Callable[[float], float], a: float, b: float,
-              tol: float = 1e-14, max_iter: int = 200) -> float:
-    """Root of f in the bracketing interval [a, b].
+def _finite_values(f: Callable, x: np.ndarray, who: str) -> np.ndarray:
+    """f(x) as a float array; DomainError at the first non-finite value."""
+    v = np.asarray(f(x), dtype=float)
+    if not np.isfinite(v).all():
+        bad = float(x[~np.isfinite(v)][0])
+        raise DomainError(f"{who}: f is not finite at x = {bad!r}")
+    return v
 
-    Alternates secant and bisection steps so the bracket provably shrinks.
+
+def find_root(f: Callable, a, b, tol: float = 1e-14, max_iter: int = 200):
+    """Roots of f in the bracketing intervals [a, b], all in lockstep.
+
+    ``a`` and ``b`` are floats, or equal-length 1-D arrays of bracket ends
+    with a vectorised ``f``.  Every bracket alternates secant and bisection
+    steps, so it provably shrinks; each iteration calls f once, on the new
+    points of the brackets still open.  A bracket stops on the tests of
+    the one-bracket loop: f is exactly 0 at an end or an iterate (the root
+    is that point), it is narrower than tol * (1 + |a| + |b|), or max_iter
+    steps are done (the root is its midpoint).  So each bracket sees the
+    iterates it would see alone and gets a bit-identical root.  A float
+    bracket calls f on floats and returns a float; arrays give an array of
+    roots.  Raises DomainError when a bracket end is not finite, a bracket
+    does not change sign, or f is not finite at an end or an iterate.
     """
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    if scalar:                          # f takes and returns floats
+        f_float = f
+        f = lambda x: np.array([float(f_float(float(t))) for t in x])
+    a, b = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
+    idx, root = np.arange(a.size), np.empty(a.size)
+    if a.size == 0:
+        return root
+    if not np.all(np.isfinite(a) & np.isfinite(b)):
+        raise DomainError("find_root needs finite bracket ends")
+    fa, fb = np.split(_finite_values(f, np.concatenate([a, b]), "find_root"), 2)
+
+    def close(done, at):
+        """Give the brackets flagged in ``done`` their root ``at`` and drop them."""
+        nonlocal idx, a, b, fa, fb
+        if done.any():
+            root[idx[done]] = at[done]
+            keep = ~done
+            idx, a, b, fa, fb = idx[keep], a[keep], b[keep], fa[keep], fb[keep]
+
+    close(fa == 0.0, a)
+    close(fb == 0.0, b)
+    if np.any(fa * fb > 0):
         raise DomainError("find_root needs a sign-changing bracket")
-    use_secant = True
-    for _ in range(max_iter):
-        if abs(b - a) <= tol * (1.0 + abs(a) + abs(b)):
+    for k in range(max_iter):
+        close(np.abs(b - a) <= tol * (1.0 + np.abs(a) + np.abs(b)), 0.5 * (a + b))
+        if idx.size == 0:
             break
-        if use_secant and fb != fa:
-            x = b - fb * (b - a) / (fb - fa)
-            pad = 0.01 * (b - a)
-            x = min(max(x, min(a, b) + pad), max(a, b) - pad)
-        else:
-            x = 0.5 * (a + b)
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if fa * fx < 0:
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
-        use_secant = not use_secant
-    return 0.5 * (a + b)
+        x = 0.5 * (a + b)
+        if k % 2 == 0:                  # secant on even steps, where fa != fb
+            s = fb != fa
+            sa, sb, sfa, sfb = a[s], b[s], fa[s], fb[s]
+            xs = sb - sfb * (sb - sa) / (sfb - sfa)
+            pad = 0.01 * (sb - sa)
+            lo, hi = np.minimum(sa, sb) + pad, np.maximum(sa, sb) - pad
+            xs = np.where(lo > xs, lo, xs)          # min(max(xs, lo), hi) as on floats
+            x[s] = np.where(hi < xs, hi, xs)
+        fx = _finite_values(f, x, "find_root")
+        left = fa * fx < 0
+        np.copyto(b, x, where=left)
+        np.copyto(fb, fx, where=left)
+        left = ~left
+        np.copyto(a, x, where=left)
+        np.copyto(fa, fx, where=left)
+        close(fx == 0.0, x)
+    root[idx] = 0.5 * (a + b)
+    return float(root[0]) if scalar else root
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +610,11 @@ def sign_roots(f: Callable, xs: np.ndarray) -> Tuple[List[float], float]:
     (the closed-form stacks cancel only to about 1e-14 absolute in the
     tails), so a lobe of f that stays inside the band is merged into its
     neighbours; each alternation between off-band samples brackets one
-    root, located by find_root on the scalar function.
+    root, and one lockstep find_root call on the vectorized f locates them
+    all.  Raises DomainError when a sample of f is not finite.
     """
-    vals = np.asarray(f(xs), dtype=float)
+    vals = _finite_values(f, xs, "sign_roots")
     band = 1e-11 * float(np.max(np.abs(vals)) or 1.0)
     _, _, pairs = scan_sign_changes(vals, band)
-    scalar = lambda t: float(f(t))
-    return [find_root(scalar, float(xs[i]), float(xs[j]), tol=1e-13) for i, j in pairs], band
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    return find_root(f, xs[i], xs[j], tol=1e-13).tolist(), band

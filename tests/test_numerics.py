@@ -236,6 +236,13 @@ class TestSignChanges:
         (root,), _ = nm.sign_roots(cube, xs)
         assert abs(root) < 1e-12
 
+    def test_non_finite_sample_raises(self):
+        # a NaN sample used to make the band NaN, so no sample counted as
+        # signed and sign_roots returned no roots
+        f = lambda x: np.where(np.asarray(x) > 0.5, np.nan, np.asarray(x, dtype=float))
+        with pytest.raises(nm.DomainError, match="not finite"):
+            nm.sign_roots(f, self.XS)
+
     def test_refine_grid_adds_interior_points(self):
         out = nm.refine_grid(np.array([0.0, 1.0, 3.0]), 4)
         assert out.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]
@@ -263,3 +270,67 @@ class TestFindRoot:
     def test_needs_bracket(self):
         with pytest.raises(nm.DomainError):
             nm.find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_float_bracket_returns_float(self):
+        assert type(nm.find_root(lambda x: x * x - 2.0, 0.0, 2.0)) is float
+        assert type(nm.find_root(lambda x: x * x - 2.0, np.float64(0.0), 2)) is float
+
+    def test_endpoint_is_root(self):
+        lin = lambda x: np.asarray(x, dtype=float) - 1.0
+        roots = nm.find_root(lin, np.array([1.0, 0.0, 1.0, -1.0]),
+                             np.array([3.0, 1.0, 1.0, 2.0]))
+        assert roots[:3].tolist() == [1.0, 1.0, 1.0]
+        assert roots[3] == nm.find_root(lin, -1.0, 2.0)
+        assert nm.find_root(lin, 0.0, 1.0) == 1.0
+
+    def test_equal_end_values_skip_secant(self):
+        # at 1e-170 the product fa * fx underflows to -0.0, so the sign test
+        # moves the wrong end and leaves fa == fb; the next secant step is
+        # skipped there (it would divide by zero) and bisection runs instead
+        f = lambda x: 1e-170 * np.sign(np.asarray(x, dtype=float) - 0.3)
+        a, b = np.array([0.0, -1.0, 0.25]), np.array([1.0, 1.0, 0.5])
+        with np.errstate(divide="raise", invalid="raise"):
+            roots = nm.find_root(f, a, b)
+        assert roots.tolist() == [nm.find_root(f, lo, hi) for lo, hi in zip(a, b)]
+        assert np.all((a <= roots) & (roots <= b))
+
+    def test_brackets_converge_at_different_iterations(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return x * x * x - 3.0 * x + 1.0        # roots -1.88, 0.347, 1.53
+
+        a = np.array([-3.0, 0.0, 1.0, 0.3, -2.0, 1.5])
+        b = np.array([0.0, 1.0, 1.6, 0.4, -1.0, 3.0])
+        roots = nm.find_root(f, a, b)
+        assert a[0] == -3.0 and b[0] == 0.0          # the caller's ends are not moved
+        assert sizes[0] == 2 * a.size                # both ends, one call
+        its = sizes[1:]
+        assert its[0] == a.size and its == sorted(its, reverse=True) and len(set(its)) > 2
+        assert 0 not in its
+        loop = [nm.find_root(lambda t: t * t * t - 3.0 * t + 1.0, lo, hi)
+                for lo, hi in zip(a.tolist(), b.tolist())]
+        assert roots.tolist() == loop
+        assert np.max(np.abs(f(roots))) < 1e-13
+
+    def test_empty_bracket_array(self):
+        def f(x):
+            raise AssertionError("f called on an empty bracket array")
+        out = nm.find_root(f, np.empty(0), np.empty(0))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_one_non_bracketing_pair_raises(self):
+        with pytest.raises(nm.DomainError, match="sign-changing"):
+            nm.find_root(lambda x: x * x - 2.0, np.array([0.0, 2.0, -3.0]),
+                         np.array([2.0, 3.0, -1.0]))
+
+    def test_non_finite_value_raises(self):
+        with pytest.raises(nm.DomainError, match="not finite"):
+            nm.find_root(lambda x: math.nan, 0.0, 1.0)
+        # finite at both ends, NaN at the first iterate
+        f = lambda x: np.where(np.abs(x - 0.5) < 0.25, np.nan, x - 0.5)
+        with pytest.raises(nm.DomainError, match="not finite"):
+            nm.find_root(f, np.array([0.0, -1.0]), np.array([1.0, 2.0]))
+        with pytest.raises(nm.DomainError, match="finite bracket"):
+            nm.find_root(lambda x: x, -math.inf, 1.0)
