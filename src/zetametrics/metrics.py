@@ -8,9 +8,10 @@ r = 1..4 via iterated integrated distribution functions
 
 Two evaluation engines coexist: a closed-form one for measures whose
 components are atoms, normals, uniforms and their mixtures (then every
-F_k is an explicit formula), and a quadrature one stacking panel-wise
-Simpson cumulatives.  zeta_r integrates |F_r| by locating its sign
-changes and telescoping F_{r+1} across the segments.
+F_k is an explicit formula), and a quadrature one stacking Gauss-Legendre
+panel antiderivatives (numerics.cumulative_integral).  zeta_r integrates
+|F_r| by locating its sign changes and telescoping F_{r+1} across the
+segments.
 """
 
 from __future__ import annotations
@@ -226,14 +227,9 @@ def metric_grid(M: SignedMeasure, n_base: int = 2048,
     return grid[keep]
 
 
-def _measure_grid_function(M: SignedMeasure, grid: np.ndarray,
-                           eps_tail: float = 1e-15) -> GridFunction:
-    atoms = np.array([x for x, _ in M.atoms()])
-    atoms = atoms[(atoms > grid[0]) & (atoms <= grid[-1])]
+def _measure_grid_function(M: SignedMeasure, grid: np.ndarray) -> GridFunction:
     return GridFunction(grid, lambda x: np.asarray(M.cdf(x), dtype=float),
-                        jump_points=atoms,
-                        fn_left=lambda x: np.asarray(M.cdf_left(x), dtype=float),
-                        left_tail=eps_tail * M.tail_scale())
+                        left_tail=1e-15 * M.tail_scale())
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +281,11 @@ def build_zeta_stack(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
         raise MetricError("closed-form stack unavailable for this measure")
     else:
         cur = _measure_grid_function(M, grid)
-        levels = [lambda x, g=cur: np.asarray(g.fn(x), dtype=float)]
-        kind, err = "quadrature", 0.0
+        levels, kind, err = [cur.fn], "quadrature", 0.0
         for _ in range(depth - 1):
             cur = cumulative_integral(cur, sign=-1, tol=tol)
             err += cur.err_est
-            levels.append(lambda x, g=cur: np.asarray(g.fn(x), dtype=float))
+            levels.append(cur.fn)
     f_r = levels[r - 1]
     return ZetaStack(r, levels, grid, kind, err,
                      endpoint_decay=(abs(float(f_r(grid[0]))), abs(float(f_r(grid[-1])))))
@@ -366,15 +361,15 @@ def kappa_r(M: SignedMeasure, r: float, tol: Tolerance = DEFAULT_TOL,
     method = "quadrature" if f1 is None else "closed_form"
     if f1 is None:
         g = _measure_grid_function(M, grid)
-        f1 = lambda x: np.asarray(g.fn(x), dtype=float)
+        f1 = g.fn
     if r == 1.0:
         if method == "quadrature":
             cum = cumulative_integral(g, sign=-1, tol=tol)
-            f2 = lambda x: np.asarray(cum.fn(x), dtype=float)
+            f2, cum_err = cum.fn, cum.err_est
         else:
-            f2 = closed_measure_stack(M, 2)
+            f2, cum_err = closed_measure_stack(M, 2), 0.0
         total, n_seg, loss = _telescope(M, f1, f2, grid)
-        return MetricValue(total, loss + 1e-11 * max(1.0, total) + 1e-13, method,
+        return MetricValue(total, loss + cum_err + 1e-11 * max(1.0, total) + 1e-13, method,
                            certificate={"segments": n_seg})
     seg, _ = _segment_points(M, f1, grid)
     total, err = integrate(lambda x: r * np.abs(x) ** (r - 1.0) * np.abs(f1(x)),

@@ -2,7 +2,8 @@
 
 Special functions (normal CDF/quantile, regularized incomplete gamma),
 adaptive Gauss-Legendre quadrature of vectorized integrands on finite
-intervals, grid-backed cumulative integration, bracketed root finding
+intervals, cumulative integrals on a breakpoint grid from the
+antiderivatives of the same Gauss-Legendre panels, bracketed root finding
 (many brackets in lockstep, one vectorized call per step), golden-section
 search, grid refinement, and sign-change counting and root location.
 Everything here is pure and operates on plain floats / numpy arrays; no
@@ -12,7 +13,7 @@ probability-specific types appear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -212,6 +213,16 @@ _GL_W = np.concatenate([_GL_W[::-1], _GL_W])
 _END_U = 1.0 - 1e-9
 _GL_END = np.array([np.prod([(-_END_U - xk) / (xj - xk) for xk in _GL_X if xk != xj])
                     for xj in _GL_X])
+# node values -> Legendre coefficients of the antiderivative, from u = -1,
+# of their degree-9 interpolant (10 x 11): c_k = (2k+1)/2 sum_j w_j P_k(x_j) v_j,
+# and P_k integrates to (P_{k+1} - P_{k-1}) / (2k+1), P_0 to P_1 + P_0
+_GL_P = [np.ones(10), _GL_X]
+for _k in range(1, 9):
+    _GL_P.append(((2 * _k + 1) * _GL_X * _GL_P[-1] - _k * _GL_P[-2]) / (_k + 1))
+_GL_C = 0.5 * _GL_W[:, None] * np.array(_GL_P).T      # c_k / (2k+1)
+_GL_ANTI = np.pad(_GL_C, ((0, 0), (1, 0))) - np.pad(_GL_C[:, 1:], ((0, 0), (0, 2)))
+_GL_ANTI[:, 0] += _GL_C[:, 0]
+del _GL_P, _GL_C, _k
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -240,6 +251,16 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     panel estimate is not finite, or when the node budget runs out before
     err_est is within max(abs_tol, rel_tol * |value|).
     """
+    return _gl_panels(f, a, b, tol, breakpoints, singularities)[:2]
+
+
+def _gl_panels(f, a, b, tol, breakpoints, singularities):
+    """The adaptive loop of integrate: (value, err_est, rounds), where each
+    round holds its panels' (lo, mid, hi, centre, sign, vals, done): ends
+    and midpoints in t (x = t, or centre + sign * t^6), the values of f
+    (times dx/dt) on the nodes of each panel and of its halves, shape
+    (panels, 3, 10), and which were accepted.  The halves of the accepted
+    panels tile [a, b]."""
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise DomainError(f"integrate needs finite a <= b, got [{a}, {b}]")
 
@@ -270,10 +291,10 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             panels.append((max(c_hi - hi, 0.0) ** (1 / 6), max(c_hi - mid, 0.0) ** (1 / 6),
                            c_hi, -1, hi - mid))
     if not panels:
-        return 0.0, 0.0
+        return 0.0, 0.0, []
     lo, hi, centre, sign, width = (np.array(col, dtype=float) for col in zip(*panels))
     share = tol.abs_tol * width / (b - a)
-    total, err, budget = 0.0, 0.0, _NODE_BUDGET
+    total, err, budget, rounds = 0.0, 0.0, _NODE_BUDGET, []
     while True:
         # columns: the panel, its left half, its right half
         mid = 0.5 * (lo + hi)
@@ -313,10 +334,11 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             done[:] = True
         total += float(np.sum(halves[done]))
         err += float(np.sum(delta[done]))
+        rounds.append((lo, mid, hi, centre, sign, vals, done))
         if done.all():
             if budget <= 0 and err > max(tol.abs_tol, tol.rel_tol * abs(total)):
                 raise ConvergenceError("quadrature did not converge", total, err)
-            return total, err
+            return total, err, rounds
         keep = ~done
         lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
         centre, sign = np.tile(centre[keep], 2), np.tile(sign[keep], 2)
@@ -369,23 +391,23 @@ def find_root(f: Callable, a, b, tol: float = 1e-14, max_iter: int = 200):
 
     close(fa == 0.0, a)
     close(fb == 0.0, b)
-    if np.any(fa * fb > 0):
+    # signs are compared, not multiplied: a product of tiny values underflows
+    if np.any((fa < 0) == (fb < 0)):
         raise DomainError("find_root needs a sign-changing bracket")
     for k in range(max_iter):
         close(np.abs(b - a) <= tol * (1.0 + np.abs(a) + np.abs(b)), 0.5 * (a + b))
         if idx.size == 0:
             break
-        x = 0.5 * (a + b)
-        if k % 2 == 0:                  # secant on even steps, where fa != fb
-            s = fb != fa
-            sa, sb, sfa, sfb = a[s], b[s], fa[s], fb[s]
-            xs = sb - sfb * (sb - sa) / (sfb - sfa)
-            pad = 0.01 * (sb - sa)
-            lo, hi = np.minimum(sa, sb) + pad, np.maximum(sa, sb) - pad
+        if k % 2 == 0:                  # secant on even steps (fa, fb differ in sign)
+            xs = b - fb * (b - a) / (fb - fa)
+            pad = 0.01 * (b - a)
+            lo, hi = np.minimum(a, b) + pad, np.maximum(a, b) - pad
             xs = np.where(lo > xs, lo, xs)          # min(max(xs, lo), hi) as on floats
-            x[s] = np.where(hi < xs, hi, xs)
+            x = np.where(hi < xs, hi, xs)
+        else:
+            x = 0.5 * (a + b)
         fx = _finite_values(f, x, "find_root")
-        left = fa * fx < 0
+        left = (fa < 0) != (fx < 0)
         np.copyto(b, x, where=left)
         np.copyto(fb, fx, where=left)
         left = ~left
@@ -402,23 +424,19 @@ def find_root(f: Callable, a, b, tol: float = 1e-14, max_iter: int = 200):
 
 @dataclass
 class GridFunction:
-    """Piecewise-defined function on a strictly increasing breakpoint grid.
-
-    ``fn`` must be vectorized over numpy arrays and right-continuous at
-    jump points; ``fn_left`` (optional) supplies left limits there.
-    ``left_tail`` declares a bound on |integral of fn over (-inf, x0]|,
-    consumed by cumulative_integral.
+    """Vectorized ``fn`` on a strictly increasing breakpoint grid: the first
+    quadrature panel ends, where fn may jump or kink.  ``left_tail`` bounds
+    |integral of fn over (-inf, x0]| for cumulative_integral, whose result
+    also carries ``err_est``, a bound on its error at every panel end (it
+    raises ConvergenceError rather than cap its refinement).
     """
 
     breakpoints: np.ndarray
     fn: Callable[[np.ndarray], np.ndarray]
-    jump_points: np.ndarray = field(default_factory=lambda: np.empty(0))
-    fn_left: Optional[Callable[[np.ndarray], np.ndarray]] = None
     left_tail: Optional[float] = None
 
     def __post_init__(self):
         self.breakpoints = np.asarray(self.breakpoints, dtype=float)
-        self.jump_points = np.asarray(self.jump_points, dtype=float)
         if self.breakpoints.size < 2:
             raise DomainError("GridFunction needs at least 2 breakpoints")
         if np.any(np.diff(self.breakpoints) <= 0):
@@ -427,128 +445,65 @@ class GridFunction:
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
-    def value_left(self, x):
-        if self.fn_left is not None:
-            return self.fn_left(np.asarray(x, dtype=float))
-        return self.fn(np.asarray(x, dtype=float))
 
-    @property
-    def lo(self) -> float:
-        return float(self.breakpoints[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.breakpoints[-1])
-
-
-class _PanelTable:
-    """Dense per-panel node/value tables backing an integrated GridFunction.
-
-    Values at arbitrary points come from the cumulative at the nearest
-    stored node to the left plus the integral of the local cubic through
-    the four surrounding nodes (O(h^4); h set by the Simpson refinement).
-    Panels are interpolated independently so jumps at panel edges stay
-    exact.
-    """
-
-    def __init__(self, panel_edges, node_xs, node_cums, node_gs, sign):
-        self.edges = np.asarray(panel_edges, dtype=float)
-        self.node_xs = node_xs              # list of m uniform node arrays
-        self.node_cums = node_cums          # signed cumulative values
-        self.node_gs = node_gs              # raw integrand values
-        self.sign = sign
-        self.final = float(node_cums[-1][-1])
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xf = np.atleast_1d(x).astype(float)
-        out = np.empty_like(xf)
-        m = len(self.node_xs)
-        pidx = np.clip(np.searchsorted(self.edges, xf, side="right") - 1, 0, m - 1)
-        below = xf <= self.edges[0]
-        above = xf >= self.edges[-1]
-        out[below] = 0.0
-        out[above] = self.final
-        inner = ~(below | above)
-        for p in np.unique(pidx[inner]):
-            mask = inner & (pidx == p)
-            xs, cs, gs = self.node_xs[p], self.node_cums[p], self.node_gs[p]
-            h = xs[1] - xs[0]
-            n = xs.size - 1
-            xi = xf[mask]
-            j = np.clip(np.floor((xi - xs[0]) / h).astype(int), 0, n - 1)
-            i0 = np.clip(j - 1, 0, n - 3)
-            g0, g1, g2, g3 = gs[i0], gs[i0 + 1], gs[i0 + 2], gs[i0 + 3]
-            a0 = g0
-            a1 = (-11 * g0 + 18 * g1 - 9 * g2 + 2 * g3) / 6.0
-            a2 = (2 * g0 - 5 * g1 + 4 * g2 - g3) / 2.0
-            a3 = (-g0 + 3 * g1 - 3 * g2 + g3) / 6.0
-
-            def anti(u):
-                return h * (a0 * u + a1 * u * u / 2 + a2 * u**3 / 3 + a3 * u**4 / 4)
-
-            u = (xi - xs[i0]) / h
-            u0 = (j - i0).astype(float)
-            out[mask] = cs[j] + self.sign * (anti(u) - anti(u0))
-        return float(out[0]) if scalar else out
+_EVAL_CHUNK = 4096            # points per evaluation step: bounds the working arrays
 
 
 def cumulative_integral(g: GridFunction, sign: int = 1,
                         tol: Tolerance = DEFAULT_TOL) -> GridFunction:
     """GridFunction h with h(x) = sign * integral of g over (-inf, x].
 
-    Piecewise composite Simpson with step doubling per panel; the
-    contribution from (-inf, lo] must be declared via ``g.left_tail``
-    (use 0.0 when the grid already covers the effective support).
+    One run of integrate's adaptive loop over the grid.  On each accepted
+    half panel h is the running sum of the panel estimates to its left end
+    plus the antiderivative of the degree-9 interpolant of its 10 node
+    values (by _GL_ANTI), so h agrees with integrate at panel ends; it is 0
+    below the grid and the total above, evaluated _EVAL_CHUNK points at a
+    time.  g.left_tail must be declared (0.0 when the grid covers the
+    support).  h.err_est, |g.left_tail| plus the summed panel
+    disagreements, bounds the error of h at every panel end.  Raises
+    ConvergenceError where integrate does, instead of missing tol.
     """
     if g.left_tail is None:
         raise TailBoundMissingError(
             "cumulative_integral needs g.left_tail (declared bound on the "
             "mass of g below the grid)")
     bp = g.breakpoints
-    jumps = set(float(j) for j in np.atleast_1d(g.jump_points))
-    m = bp.size - 1
-    panel_tol = tol.abs_tol / max(m, 1)
-    node_xs, node_cums, node_gs = [], [], []
-    running = 0.0
-    err_total = abs(g.left_tail)
-    edges = bp.copy()
-    for i in range(m):
-        a, b = float(bp[i]), float(bp[i + 1])
-        n = 8
-        prev = None
-        while True:
-            xs = np.linspace(a, b, n + 1)
-            vals = np.asarray(g.fn(xs), dtype=float)
-            if b in jumps:
-                vals[-1] = float(g.value_left(b))
-            h = (b - a) / n
-            s = h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
-                           + 2.0 * vals[2:-1:2].sum())
-            if prev is not None and (abs(s - prev) <= 15.0 * panel_tol or n >= 4096):
-                err_total += abs(s - prev) / 15.0
-                break
-            prev = s
-            n *= 2
-        # cumulative values at every node: Simpson pairs for even nodes,
-        # 4-point Newton-Cotes correction for odd nodes
-        cum = np.zeros(n + 1)
-        pair = h / 3.0 * (vals[:-2:2] + 4.0 * vals[1:-1:2] + vals[2::2])
-        cum[2::2] = np.cumsum(pair)
-        v0, v1, v2, v3 = vals[:-3], vals[1:-2], vals[2:-1], vals[3:]
-        first = h * (9 * vals[0] + 19 * vals[1] - 5 * vals[2] + vals[3]) / 24.0
-        inner = h * (-v0 + 13 * v1 + 13 * v2 - v3) / 24.0
-        cum[1] = first
-        cum[3::2] = cum[2:-1:2] + inner[1::2]
-        node_xs.append(xs)
-        node_cums.append(running + cum)
-        node_gs.append(vals)
-        running += s
-    cums = [sign * c for c in node_cums]
-    table = _PanelTable(edges, node_xs, cums, node_gs, sign)
-    out = GridFunction(bp, table, jump_points=np.empty(0), left_tail=0.0)
-    out.err_est = err_total
+    _, err, rounds = _gl_panels(g.fn, bp[0], bp[-1], tol, bp, ())
+    lo, mid, hi, centre, way, vals = (np.concatenate(col) for col in zip(*(
+        (lo[d], mid[d], hi[d], c[d], s[d], v[d]) for lo, mid, hi, c, s, v, d in rounds)))
+    # the two halves of every accepted panel; one with x = centre - t^6
+    # runs right to left in t, so its nodes are reversed
+    lo, hi, centre, way = np.r_[lo, mid], np.r_[mid, hi], np.tile(centre, 2), np.tile(way, 2)
+    vals = np.r_[vals[:, 1], vals[:, 2]]
+    vals = np.where(way[:, None] < 0, vals[:, ::-1], vals)
+    x_ends = np.where(way != 0, centre + way * np.stack([lo, hi]) ** 6, np.stack([lo, hi]))
+    left = x_ends.min(axis=0)
+    order = np.lexsort((x_ends.max(axis=0), left))    # zero-width panels first on ties
+    half = 0.5 * (hi - lo)
+    coef = (half[:, None] * (vals @ _GL_ANTI))[order]
+    starts = np.cumsum((half * (vals @ _GL_W))[order])
+    coef[1:, 0] += starts[:-1]
+    coef, final = (sign * coef).T.copy(), sign * float(starts[-1])
+    left, mapped, centre = left[order], (way != 0)[order], centre[order]
+    mid_t, scale = (0.5 * (lo + hi))[order], (np.where(way < 0, -1.0, 1.0) / half)[order]
+
+    def h(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        for i in range(0, x.size, _EVAL_CHUNK):
+            xs = x.reshape(-1)[i:i + _EVAL_CHUNK]
+            k = np.maximum(np.searchsorted(left, xs, side="right") - 1, 0)
+            t = np.where(mapped[k], np.abs(xs - centre[k]) ** (1 / 6), xs) if mapped.any() else xs
+            u = (t - mid_t[k]) * scale[k]
+            b1 = b2 = 0.0
+            for j in range(10, 0, -1):          # Clenshaw for sum_j coef_j P_j(u)
+                b1, b2 = coef[j][k] + (2 * j + 1) / (j + 1) * u * b1 - (j + 1) / (j + 2) * b2, b1
+            out.reshape(-1)[i:i + _EVAL_CHUNK] = np.where(
+                xs <= bp[0], 0.0, np.where(xs >= bp[-1], final, coef[0][k] + u * b1 - 0.5 * b2))
+        return float(out) if out.ndim == 0 else out
+
+    out = GridFunction(bp, h, left_tail=0.0)
+    out.err_est = abs(g.left_tail) + err
     return out
 
 

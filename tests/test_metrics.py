@@ -79,6 +79,22 @@ class TestKappa:
         assert v.method == "quadrature"
         assert abs(v.value - GT_VALUE) < 1e-9
 
+    def test_quadrature_kappa_1_counts_the_cumulative_error(self, monkeypatch):
+        from zetametrics import metrics
+        M = btilde_minus_N()
+        v = zm.kappa_r(M, 1.0, engine="quadrature")
+        g = metrics._measure_grid_function(M, metrics.metric_grid(M))
+        cum = zm.cumulative_integral(g, sign=-1)
+        assert v.err_est >= cum.err_est
+        assert v.err_est >= abs(v.value - zm.kappa_r(M, 1.0, engine="closed").value)
+        # here the cumulative's error is tiny; a large one must show too
+        def loose(*args, **kw):
+            out = zm.cumulative_integral(*args, **kw)
+            out.err_est = 1e-3
+            return out
+        monkeypatch.setattr(metrics, "cumulative_integral", loose)
+        assert zm.kappa_r(M, 1.0, engine="quadrature").err_est >= 1e-3
+
     @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
     def test_zolotarev_formula(self, r):
         expect = (3.0 ** (r / 2) + (2 * SQRT3 - 3) * r / 3 - 1) / (r + 1)

@@ -171,8 +171,6 @@ class TestCumulativeIntegral:
         M = zm.signed_diff(zm.standardise(zm.bernoulli(0.5)), zm.STANDARD_NORMAL)
         grid = np.unique(np.concatenate([np.linspace(-10, 10, 801), [-1.0, 1.0]]))
         g = nm.GridFunction(grid, lambda x: np.asarray(M.cdf(x), dtype=float),
-                            jump_points=np.array([-1.0, 1.0]),
-                            fn_left=lambda x: np.asarray(M.cdf_left(x), dtype=float),
                             left_tail=1e-20)
         h = nm.cumulative_integral(g, sign=-1, tol=nm.Tolerance(1e-11, 1e-9))
         assert abs(float(h(-10.0))) < 1e-9
@@ -187,6 +185,43 @@ class TestCumulativeIntegral:
         g = self.grid_fn(lambda x: np.ones_like(x), 0, 1, n=16)
         h = nm.cumulative_integral(g, sign=-1)
         assert abs(float(h(1.0)) + 1.0) < 1e-12
+
+    def test_breakpoints_match_integrate(self):
+        g = nm.GridFunction(np.linspace(-6, 6, 25),
+                            lambda x: np.exp(-0.5 * x * x) * np.cos(3 * x), left_tail=0.0)
+        h = nm.cumulative_integral(g)
+        bp = g.breakpoints
+        want = [nm.integrate(g.fn, bp[0], x)[0] for x in bp]
+        assert np.max(np.abs(h(bp) - want)) < 1e-13
+        # continuous across every panel end, the breakpoints and the ends
+        # the adaptive loop added between them
+        ends, d = nm.refine_grid(bp, 64), 1e-7
+        assert np.max(np.abs(h(ends + d) - h(ends - d) - 2 * d * g(ends))) < 1e-14
+
+    def test_pole_at_grid_point(self):
+        # |x|^(-1/2) is infinite at the grid point 0: the panels next to it
+        # go through x = t^6, as in integrate
+        with np.errstate(divide="ignore"):
+            g = self.grid_fn(lambda x: np.abs(x) ** -0.5, -1, 1, n=9)
+            h = nm.cumulative_integral(g)
+        assert abs(float(h(1.0)) - 4.0) < 1e-12
+        xs = np.array([-0.7, -0.01, 0.0, 0.3, 0.999])
+        exact = 2.0 + 2.0 * np.sign(xs) * np.sqrt(np.abs(xs))
+        assert np.max(np.abs(h(xs) - exact)) < 1e-10
+
+    def test_undeclared_pole_raises(self):
+        g = self.grid_fn(lambda x: 1.0 / x, 0, 1, n=8)
+        with np.errstate(all="ignore"), pytest.raises(nm.ConvergenceError):
+            nm.cumulative_integral(g)
+
+    def test_antiderivative_matrix(self):
+        # regenerated from numpy's Legendre tools: node values -> Legendre
+        # coefficients of the interpolant -> its integral from -1
+        from numpy.polynomial import legendre
+        coef = np.linalg.inv(legendre.legvander(nm._GL_X, 9))
+        want = legendre.legint(coef, lbnd=-1).T
+        assert nm._GL_ANTI.shape == (10, 11)
+        assert np.max(np.abs(nm._GL_ANTI - want)) < 1e-14
 
 
 class TestSignChanges:
@@ -257,10 +292,6 @@ class TestGridFunction:
         with pytest.raises(nm.DomainError):
             nm.GridFunction(np.array([0.0, 0.0, 1.0]), lambda x: x)
 
-    def test_left_limit_fallback(self):
-        g = nm.GridFunction(np.array([0.0, 1.0]), lambda x: np.asarray(x) + 1.0)
-        assert float(np.atleast_1d(g.value_left(np.array([0.5])))[0]) == 1.5
-
 
 class TestFindRoot:
     def test_simple(self):
@@ -270,6 +301,9 @@ class TestFindRoot:
     def test_needs_bracket(self):
         with pytest.raises(nm.DomainError):
             nm.find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        # no sign change, though fa * fb underflows to 0
+        with pytest.raises(nm.DomainError, match="sign-changing"):
+            nm.find_root(lambda x: 1e-170 * (x + 2.0), 0.0, 1.0)
 
     def test_float_bracket_returns_float(self):
         assert type(nm.find_root(lambda x: x * x - 2.0, 0.0, 2.0)) is float
@@ -283,16 +317,18 @@ class TestFindRoot:
         assert roots[3] == nm.find_root(lin, -1.0, 2.0)
         assert nm.find_root(lin, 0.0, 1.0) == 1.0
 
-    def test_equal_end_values_skip_secant(self):
-        # at 1e-170 the product fa * fx underflows to -0.0, so the sign test
-        # moves the wrong end and leaves fa == fb; the next secant step is
-        # skipped there (it would divide by zero) and bisection runs instead
-        f = lambda x: 1e-170 * np.sign(np.asarray(x, dtype=float) - 0.3)
+    def test_tiny_values_keep_the_bracket(self):
+        # at 1e-170 a product fa * fx underflows to -0.0; the sign test
+        # compares signs, so the bracket still closes on the sign change
+        step = lambda x: 1e-170 * np.sign(np.asarray(x, dtype=float) - 0.3)
+        line = lambda x: 1e-170 * (np.asarray(x, dtype=float) - 0.3)
         a, b = np.array([0.0, -1.0, 0.25]), np.array([1.0, 1.0, 0.5])
-        with np.errstate(divide="raise", invalid="raise"):
-            roots = nm.find_root(f, a, b)
-        assert roots.tolist() == [nm.find_root(f, lo, hi) for lo, hi in zip(a, b)]
-        assert np.all((a <= roots) & (roots <= b))
+        for f in (step, line):
+            with np.errstate(divide="raise", invalid="raise"):
+                roots = nm.find_root(f, a, b)
+            assert roots.tolist() == [nm.find_root(f, lo, hi) for lo, hi in zip(a, b)]
+            assert np.max(np.abs(roots - 0.3)) < 1e-13
+        assert abs(nm.find_root(lambda x: 1e-170 * (x - 0.3), 0.0, 1.0) - 0.3) < 1e-13
 
     def test_brackets_converge_at_different_iterations(self):
         sizes = []

@@ -79,8 +79,9 @@ def test_rounding_mass_and_mean(base, eta, alpha):
 
 
 def scalar_find_root(f, a, b, tol, max_iter=200):
-    """The one-bracket secant/bisection loop on Python floats, as find_root
-    ran before brackets were batched: the reference for the iterates."""
+    """The one-bracket secant/bisection loop on Python floats, with the sign
+    test of find_root (signs compared, not multiplied): the reference for
+    the iterates."""
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -90,7 +91,7 @@ def scalar_find_root(f, a, b, tol, max_iter=200):
     for _ in range(max_iter):
         if abs(b - a) <= tol * (1.0 + abs(a) + abs(b)):
             break
-        if use_secant and fb != fa:
+        if use_secant:
             x = b - fb * (b - a) / (fb - fa)
             pad = 0.01 * (b - a)
             x = min(max(x, min(a, b) + pad), max(a, b) - pad)
@@ -99,7 +100,7 @@ def scalar_find_root(f, a, b, tol, max_iter=200):
         fx = f(x)
         if fx == 0.0:
             return x
-        if fa * fx < 0:
+        if (fa < 0) != (fx < 0):
             b, fb = x, fx
         else:
             a, fa = x, fx
