@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,18 +42,10 @@ class InfiniteMomentError(MeasureError):
 
 # -- closed-form helpers -----------------------------------------------------
 
-def _phi(x):
-    return std_normal_pdf(x)
-
-
-def _Phi(x):
-    return std_normal_cdf(x)
-
-
 def normal_upper_moment(k: int, a: float) -> float:
     """integral of x^k phi(x) over [a, inf)."""
-    sf = 1.0 - _Phi(a)
-    p = _phi(a)
+    sf = 1.0 - std_normal_cdf(a)
+    p = std_normal_pdf(a)
     if k == 0:
         return sf
     if k == 1:
@@ -68,12 +61,9 @@ def normal_upper_moment(k: int, a: float) -> float:
 
 def normal_abs_window_moment(r: int, a: float, b: float) -> float:
     """integral of |x|^r phi(x) over [a, b], for integer r in 0..4."""
-    def upper(r_, t):
-        return normal_upper_moment(r_, t)
-
     def signed(lo, hi):
         # integral of x^r phi over [lo, hi] with lo >= 0
-        return upper(r, lo) - upper(r, hi)
+        return normal_upper_moment(r, lo) - normal_upper_moment(r, hi)
 
     if a >= 0:
         return signed(a, b)
@@ -332,13 +322,10 @@ class Normal(LawSpec):
             raise DomainError(f"normal needs sigma > 0, got {self.sigma}")
 
     def cdf(self, x):
-        return _Phi((np.asarray(x, dtype=float) - self.mu_loc) / self.sigma)
-
-    def cdf_left(self, x):
-        return self.cdf(x)
+        return std_normal_cdf((np.asarray(x, dtype=float) - self.mu_loc) / self.sigma)
 
     def pdf(self, x):
-        return _phi((np.asarray(x, dtype=float) - self.mu_loc) / self.sigma) / self.sigma
+        return std_normal_pdf((np.asarray(x, dtype=float) - self.mu_loc) / self.sigma) / self.sigma
 
     @property
     def has_density(self):
@@ -399,9 +386,6 @@ class Uniform(LawSpec):
         out = np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
-    def cdf_left(self, x):
-        return self.cdf(x)
-
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
@@ -445,20 +429,17 @@ class TruncatedNormalLeft(LawSpec):
 
     @property
     def _z(self) -> float:
-        return 1.0 - _Phi(-self.t)
+        return 1.0 - std_normal_cdf(-self.t)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.clip((_Phi(x) - _Phi(-self.t)) / self._z, 0.0, 1.0)
+        out = np.clip((std_normal_cdf(x) - std_normal_cdf(-self.t)) / self._z, 0.0, 1.0)
         out = np.where(x < -self.t, 0.0, out)
         return float(out) if out.ndim == 0 else out
 
-    def cdf_left(self, x):
-        return self.cdf(x)
-
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where(x > -self.t, _phi(x) / self._z, 0.0)
+        out = np.where(x > -self.t, std_normal_pdf(x) / self._z, 0.0)
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -469,8 +450,8 @@ class TruncatedNormalLeft(LawSpec):
         return [-self.t]
 
     def support(self, eps=SUPPORT_EPS):
-        hi = std_normal_quantile(1.0 - self._z * min(max(eps, 1e-300), 0.5))
-        return (-self.t, hi)
+        # the upper tail quantile by symmetry: 1 - eps rounds to 1 for tiny eps
+        return (-self.t, -std_normal_quantile(self._z * min(max(eps, 1e-300), 0.5)))
 
     def tail_scale(self):
         return 1.0
@@ -499,12 +480,12 @@ class WinsorisedNormalLeft(LawSpec):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where(x >= -self.t, _Phi(np.maximum(x, -self.t)), 0.0)
+        out = np.where(x >= -self.t, std_normal_cdf(np.maximum(x, -self.t)), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where(x > -self.t, _phi(x), 0.0)
+        out = np.where(x > -self.t, std_normal_pdf(x), 0.0)
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -512,13 +493,13 @@ class WinsorisedNormalLeft(LawSpec):
         return True
 
     def atoms(self):
-        return [(-self.t, _Phi(-self.t))]
+        return [(-self.t, std_normal_cdf(-self.t))]
 
     def density_breakpoints(self):
         return [-self.t]
 
     def support(self, eps=SUPPORT_EPS):
-        return (-self.t, std_normal_quantile(1.0 - min(max(eps, 1e-300), 0.5)))
+        return (-self.t, -std_normal_quantile(min(max(eps, 1e-300), 0.5)))
 
     def tail_scale(self):
         return 1.0
@@ -526,12 +507,13 @@ class WinsorisedNormalLeft(LawSpec):
     def mu(self, k):
         if k == 0:
             return 1.0
-        return (-self.t) ** k * _Phi(-self.t) + normal_upper_moment(k, -self.t)
+        return (-self.t) ** k * std_normal_cdf(-self.t) + normal_upper_moment(k, -self.t)
 
     def nu(self, r):
         if r == 0:
             return 1.0
-        return abs(self.t) ** r * _Phi(-self.t) + normal_abs_window_moment(r, -self.t, 60.0)
+        return (abs(self.t) ** r * std_normal_cdf(-self.t)
+                + normal_abs_window_moment(r, -self.t, 60.0))
 
     def to_dict(self):
         return {"family": "winsorised_normal_left", "t": self.t}
@@ -563,9 +545,6 @@ class GammaPower(LawSpec):
         if self.beta < 0:
             out[~pos] = 0.0
         return float(out[0]) if scalar else out
-
-    def cdf_left(self, x):
-        return self.cdf(x)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -679,9 +658,6 @@ class SubbotinLaw(LawSpec):
                          for v in xa])
         out = 0.5 + 0.5 * np.sign(xa) * half
         return float(out[0]) if scalar else out
-
-    def cdf_left(self, x):
-        return self.cdf(x)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -1015,9 +991,6 @@ class HistogramLaw(LawSpec):
         out = np.clip(out, 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
-    def cdf_left(self, x):
-        return self.cdf(x)
-
     def pdf(self, x):
         centers, w = self._cells()
         x = np.asarray(x, dtype=float)
@@ -1139,6 +1112,9 @@ def truncate(base: LawSpec, a: float, b: float) -> Truncated:
     return Truncated(base, a, b)
 
 
+_FOLD_CHUNK = 256             # points per integrate call in Conv2: bounds the working arrays
+
+
 class Conv2(LawSpec):
     """Convolution of two laws, evaluated by quadrature.
 
@@ -1150,69 +1126,62 @@ class Conv2(LawSpec):
     family = "conv2"
 
     def __init__(self, p: LawSpec, q: LawSpec, tol: Tolerance = Tolerance(1e-10, 1e-9)):
-        # integrate over the factor with the simpler structure
         self.p = p
         self.q = q
         self.tol = tol
 
-    def _cdf_one(self, x: float) -> float:
-        total = 0.0
-        for a, w in self.q.atoms():
-            total += w * float(self.p.cdf(x - a))
+    @cached_property
+    def _layout(self):
+        """q's atoms and support, and the breakpoints of g(x - y) q.pdf(y) as
+        x * slope + offset: x - b for p's kinks, atoms and mixture-part ends
+        b, where g(x - y) may jump or kink, and q.pdf's own kinks and
+        mixture-part ends."""
+        p_pts = [*self.p.density_breakpoints(), *(a for a, _ in self.p.atoms()),
+                 *_part_ends(self.p)]
+        q_pts = self.q.density_breakpoints() + _part_ends(self.q)
+        return (self.q.atoms(), self.q.support(1e-15),
+                np.repeat([1.0, 0.0], [len(p_pts), len(q_pts)]),
+                np.array([-b for b in p_pts] + q_pts, dtype=float))
+
+    def _fold(self, g, x):
+        """At every x: the sum of w * g(x - a) over the atoms (a, w) of q,
+        plus the integral of g(x - y) q.pdf(y) over q's support, for g one
+        of p's cdf or pdf.  The integrals of _FOLD_CHUNK points at a time
+        share one integrate call, with the breakpoints of _layout."""
+        q_atoms, (lo, hi), slope, offset = self._layout
+        xs = np.asarray(x, dtype=float).reshape(-1)
+        out = np.zeros(xs.size)
+        for a, w in q_atoms:
+            out += w * np.asarray(g(xs - a), dtype=float)
         if self.q.has_density:
-            lo, hi = self.q.support(1e-15)
-            plo, phi_ = self.p.support(1e-15)
-            bps = sorted({x - b for b in ([plo, phi_] + self.p.density_breakpoints()
-                                          + [a for a, _ in self.p.atoms()])}
-                         | set(self.q.density_breakpoints()) | set(_part_ends(self.q)))
-            f = lambda y: (np.asarray(self.p.cdf(x - y), dtype=float)
-                           * np.asarray(self.q.pdf(y), dtype=float))
-            v, _ = integrate(f, lo, hi, self.tol, breakpoints=bps)
-            total += v
-        return min(max(total, 0.0), 1.0)
+            for i in range(0, xs.size, _FOLD_CHUNK):
+                xc = xs[i:i + _FOLD_CHUNK]
+                v, _ = integrate(lambda y, k: (np.asarray(g(xc[k] - y), dtype=float)
+                                               * np.asarray(self.q.pdf(y), dtype=float)),
+                                 np.full(xc.size, lo), np.full(xc.size, hi), self.tol,
+                                 breakpoints=xc[:, None] * slope + offset)
+                out[i:i + _FOLD_CHUNK] += v
+        return out.reshape(np.shape(x))
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return self._cdf_one(float(x))
-        return np.array([self._cdf_one(float(v)) for v in x])
-
-    def cdf_left(self, x):
-        return self.cdf(x)   # atoms of a continuous convolution are null here
+        out = np.clip(self._fold(self.p.cdf, x), 0.0, 1.0)
+        return float(out) if out.ndim == 0 else out
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xa = np.atleast_1d(x)
-        out = np.zeros_like(xa)
-        for i, v in enumerate(xa):
-            total = 0.0
-            for a, w in self.q.atoms():
-                total += w * float(self.p.pdf(v - a))
-            if self.q.has_density and self.p.has_density:
-                lo, hi = self.q.support(1e-15)
-                f = lambda y: (np.asarray(self.p.pdf(v - y), dtype=float)
-                               * np.asarray(self.q.pdf(y), dtype=float))
-                bps = (self.q.density_breakpoints() + _part_ends(self.q)
-                       + [v - b for b in self.p.density_breakpoints() + _part_ends(self.p)])
-                val, _ = integrate(f, lo, hi, self.tol, breakpoints=bps)
-                total += val
-            out[i] = total
-        return float(out[0]) if scalar else out
+        out = self._fold(self.p.pdf, x)
+        for a, w in self.p.atoms():
+            out += w * np.asarray(self.q.pdf(x - a), dtype=float)
+        return float(out) if out.ndim == 0 else out
 
     @property
     def has_density(self):
         return self.p.has_density or self.q.has_density
 
     def atoms(self):
-        if self.p.has_density and self.q.has_density:
-            return []
         return merge_atoms([(xa + xb, wa * wb)
                             for xa, wa in self.p.atoms()
                             for xb, wb in self.q.atoms()])
-
-    def density_breakpoints(self):
-        return []
 
     def support(self, eps=SUPPORT_EPS):
         lp = self.p.support(eps / 2)
@@ -1256,15 +1225,11 @@ def conv2_law(p: LawSpec, q: LawSpec) -> LawSpec:
         return affine(1.0, q.a, p)
     if isinstance(p, Normal) and isinstance(q, Normal):
         return Normal(p.mu_loc + q.mu_loc, math.hypot(p.sigma, q.sigma))
-    p_atomic = not p.has_density
-    q_atomic = not q.has_density
-    if p_atomic and q_atomic:
-        return Atoms(merge_atoms([(xa + xb, wa * wb)
-                                  for xa, wa in p.atoms()
-                                  for xb, wb in q.atoms()]))
-    if p_atomic:
+    if not (p.has_density or q.has_density):
+        return Atoms(Conv2(p, q).atoms())
+    if not p.has_density:
         return Mixture([(w, affine(1.0, x, q)) for x, w in p.atoms()])
-    if q_atomic:
+    if not q.has_density:
         return Mixture([(w, affine(1.0, x, p)) for x, w in q.atoms()])
     return Conv2(p, q)
 

@@ -2,12 +2,13 @@
 
 Special functions (normal CDF/quantile, regularized incomplete gamma),
 adaptive Gauss-Legendre quadrature of vectorized integrands on finite
-intervals, cumulative integrals on a breakpoint grid from the
-antiderivatives of the same Gauss-Legendre panels, bracketed root finding
-(many brackets in lockstep, one vectorized call per step), golden-section
-search, grid refinement, and sign-change counting and root location.
-Everything here is pure and operates on plain floats / numpy arrays; no
-probability-specific types appear.
+intervals (many intervals share each round), cumulative integrals on a
+breakpoint grid from the antiderivatives of the same Gauss-Legendre
+panels, bracketed root finding (many brackets in lockstep, one
+vectorized call per step), golden-section search, grid refinement, and
+sign-change counting and root location.  Everything here is pure and
+operates on plain floats / numpy arrays; no probability-specific types
+appear.
 """
 
 from __future__ import annotations
@@ -225,30 +226,36 @@ _GL_ANTI[:, 0] += _GL_C[:, 0]
 del _GL_P, _GL_C, _k
 
 
-def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-              tol: Tolerance = DEFAULT_TOL,
-              breakpoints: Sequence[float] = (),
-              singularities: Sequence[float] = ()):
+def integrate(f: Callable, a, b, tol: Tolerance = DEFAULT_TOL,
+              breakpoints: Sequence = (), singularities: Sequence[float] = ()):
     """Integral of the vectorized ``f`` over the finite interval [a, b],
     a <= b, with an error estimate.
 
+    ``a`` and ``b`` may also be equal-length 1-D arrays of K intervals:
+    then ``f(x, k)`` also gets the index k of each node's integral,
+    ``breakpoints`` is one sequence for all or a (K, m) array (row k for
+    interval k), and value and err_est are arrays.  The K integrals share
+    each round's call of f but keep their own acceptance tests, totals and
+    node budgets, so each gets what a lone call would, up to rounding.
+
     ``breakpoints`` (known kinks or jumps) cut [a, b] into the first
-    panels.  Each round calls f once, on the 10-point Gauss-Legendre nodes
-    of every open panel and of its two halves.  A panel is accepted when
-    its two estimates agree within its width's share of tol.abs_tol, and
-    all open panels are when their summed disagreements fit in what the
-    accepted ones left of tol.abs_tol (a jump that is no breakpoint never
-    meets its share); the rest are bisected.  Neither estimate has a node
-    between a panel end and the outermost node of its half, so f is also
-    probed just inside each end, and the gap to the half's interpolant
-    there, times the width of that unseen strip, joins the disagreement: a
-    kink or jump next to an end is bisected, not accepted.  No node lies on
-    a panel end, so f needs no one-sided value at a jump.
-    ``singularities`` declare integrable blow-ups milder than
-    |x - s|^(-5/6); a panel next to one, or next to an end where f is not
-    finite, is integrated in t with x = s +- t^6 (and not probed at its
-    centre).  Returns (value, err_est); raises ConvergenceError when a
-    panel estimate is not finite, or when the node budget runs out before
+    panels; those outside (a, b) are ignored.  Each round calls f once, on
+    the 10-point Gauss-Legendre nodes of every open panel and of its two
+    halves.  A panel is accepted when its two estimates agree within its
+    width's share of tol.abs_tol, and all open panels of an integral are
+    when their summed disagreements fit in what its accepted ones left of
+    tol.abs_tol (a jump that is no breakpoint never meets its share); the
+    rest are bisected.  Neither estimate has a node between a panel end
+    and the outermost node of its half, so f is also probed just inside
+    each end, and the gap to the half's interpolant there, times the width
+    of that unseen strip, joins the disagreement: a kink or jump next to an
+    end is bisected, not accepted.  No node lies on a panel end, so f needs
+    no one-sided value at a jump.  ``singularities`` (shared by all
+    intervals) declare integrable blow-ups milder than |x - s|^(-5/6); a
+    panel next to one, or next to an end where f is not finite, is
+    integrated in t with x = s +- t^6 (and not probed at its centre).
+    Returns (value, err_est); raises ConvergenceError when a panel estimate
+    is not finite, or when an integral's node budget runs out before its
     err_est is within max(abs_tol, rel_tol * |value|).
     """
     return _gl_panels(f, a, b, tol, breakpoints, singularities)[:2]
@@ -260,42 +267,67 @@ def _gl_panels(f, a, b, tol, breakpoints, singularities):
     and midpoints in t (x = t, or centre + sign * t^6), the values of f
     (times dx/dt) on the nodes of each panel and of its halves, shape
     (panels, 3, 10), and which were accepted.  The halves of the accepted
-    panels tile [a, b]."""
-    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
-        raise DomainError(f"integrate needs finite a <= b, got [{a}, {b}]")
+    panels tile the intervals."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scalar = a.ndim == 0 and b.ndim == 0
+    if scalar:                          # f takes the nodes only
+        f_x = f
+        f = lambda x, k: f_x(x)
+    a, b = a.reshape(-1), b.reshape(-1)
+    bad = ~(np.isfinite(a) & np.isfinite(b) & (a <= b))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"integrate needs finite a <= b, got [{a[i]}, {b[i]}]")
+    n_int = a.size
 
-    def snap(x):
-        return 1e-9 * (1.0 + abs(x))
+    def out(v):
+        return float(v[0]) if scalar else v
 
-    # centers keep their declared float values (exactness matters for the
-    # pulled-back coordinate); only the interior ones also split the range
-    sing = [s for s in singularities if a - snap(a) <= s <= b + snap(b)]
-    edges = sorted({a, b, *(p for p in breakpoints if a < p < b),
-                    *(s for s in sing if a < s < b)})
+    # the first panel ends of each interval, sorted and without repeats:
+    # its ends and the breakpoints and singularities inside it, after a
+    # column of -inf so that the first end of each row is new (declared
+    # centres keep their float values: exactness matters for the
+    # pulled-back coordinate)
+    sing = np.asarray(singularities, dtype=float)
+    lo_b, hi_b = a[:, None], b[:, None]
+
+    def inside(p):
+        return np.where((p > lo_b) & (p < hi_b), p, lo_b)
+
+    cand = np.sort(np.concatenate([lo_b - np.inf, lo_b, hi_b, inside(sing),
+                                   inside(np.asarray(breakpoints, dtype=float))], axis=1), axis=1)
+    new = cand[:, 1:] != cand[:, :-1]
+    k_e, edges = np.nonzero(new)[0], cand[:, 1:][new]
     with np.errstate(all="ignore"):
-        finite_ends = np.isfinite(np.asarray(f(np.array(edges)), dtype=float))
-    centres = []
-    for e, ok in zip(edges, finite_ends):
-        near = [s for s in sing if abs(e - s) <= snap(e)]
-        centres.append(near[0] if near else (None if ok else e))
-    panels = []                     # (t_lo, t_hi, centre, sign, width in x)
-    for lo, hi, c_lo, c_hi in zip(edges, edges[1:], centres, centres[1:]):
-        if c_lo is None and c_hi is None:
-            panels.append((lo, hi, 0.0, 0, hi - lo))
-            continue
-        mid = hi if c_hi is None else lo if c_lo is None else 0.5 * (lo + hi)
-        if c_lo is not None:
-            panels.append((max(lo - c_lo, 0.0) ** (1 / 6), max(mid - c_lo, 0.0) ** (1 / 6),
-                           c_lo, 1, mid - lo))
-        if c_hi is not None:
-            panels.append((max(c_hi - hi, 0.0) ** (1 / 6), max(c_hi - mid, 0.0) ** (1 / 6),
-                           c_hi, -1, hi - mid))
-    if not panels:
-        return 0.0, 0.0, []
-    lo, hi, centre, sign, width = (np.array(col, dtype=float) for col in zip(*panels))
-    share = tol.abs_tol * width / (b - a)
-    total, err, budget, rounds = 0.0, 0.0, _NODE_BUDGET, []
-    while True:
+        finite_ends = np.isfinite(np.asarray(f(edges, k_e), dtype=float))
+    pair = k_e[1:] == k_e[:-1]
+    lo, hi, k = edges[:-1][pair], edges[1:][pair], k_e[:-1][pair]
+    centre, sign, width = np.zeros(lo.size), np.zeros(lo.size), hi - lo
+    if sing.size or not finite_ends.all():
+        # ends that are centres split their pair at its middle (or at the
+        # other end): the sub-panel next to a centre c is integrated in t,
+        # with x = c + t^6 (sign 1) or c - t^6 (sign -1); zero-width ones
+        # are dropped
+        centres = np.where(finite_ends, np.nan, edges)
+        for s in sing[::-1]:            # the first declared one near an end wins
+            centres = np.where(np.abs(edges - s) <= 1e-9 * (1.0 + np.abs(edges)), s, centres)
+        c = np.stack([centres[:-1][pair], centres[1:][pair]], axis=1)
+        sign = np.where(np.isnan(c), 0.0, [1.0, -1.0])
+        mid = np.where(sign[:, 1] != 0, np.where(sign[:, 0] != 0, 0.5 * (lo + hi), lo), hi)
+        u, v = np.stack([lo, mid], axis=1), np.stack([mid, hi], axis=1)
+        keep = v > u
+
+        def t_of(x_plus, x_minus):      # t at x_plus for sign 1, at x_minus for -1
+            return np.where(sign != 0, np.maximum(sign * (np.where(sign > 0, x_plus, x_minus) - c),
+                                                  0.0) ** (1 / 6), x_plus)
+
+        lo, hi, centre, sign, width, k = (w[keep] for w in (
+            t_of(u, v), t_of(v, u), np.where(sign != 0, c, 0.0), sign, v - u,
+            np.stack([k, k], axis=1)))
+    total, err, rounds = np.zeros(n_int), np.zeros(n_int), []
+    budget = np.full(n_int, _NODE_BUDGET)
+    share = tol.abs_tol * width / (b - a)[k]
+    while k.size:
         # columns: the panel, its left half, its right half
         mid = 0.5 * (lo + hi)
         half = 0.5 * np.stack([hi - lo, mid - lo, hi - mid], axis=1)
@@ -312,10 +344,10 @@ def _gl_panels(f, a, b, tol, breakpoints, singularities):
             t[at_centre, -2] = mid[at_centre]
             x = t.copy()
             x[m] = centre[m, None] + sign[m, None] * t[m] ** 6
-        vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        vals = np.asarray(f(x.ravel(), np.repeat(k, x.shape[1])), dtype=float).reshape(x.shape)
         if mapped:
             vals[m] *= 6.0 * t[m] ** 5
-        budget -= vals.size
+        budget -= x.shape[1] * np.bincount(k, minlength=n_int)
         probes, vals = vals[:, -2:], vals[:, :-2].reshape(-1, 3, _GL_X.size)
         est = half * (vals @ _GL_W)
         halves = est[:, 1] + est[:, 2]
@@ -326,23 +358,24 @@ def _gl_panels(f, a, b, tol, breakpoints, singularities):
         delta = np.abs(halves - est[:, 0]) + (1.0 - _GL_X[-1]) * half[:, 1] * gaps
         if not np.all(np.isfinite(halves) & np.isfinite(delta)):
             raise ConvergenceError("quadrature estimate is not finite",
-                                   total + float(np.sum(halves)), math.inf)
+                                   out(total + np.bincount(k, halves, n_int)),
+                                   out(np.full(n_int, math.inf)))
         # below the rounding floor of the panel values no refinement can help
         noise = 1e-14 * np.sum(half[:, 1:] * (np.abs(vals[:, 1:]) @ _GL_W), axis=1)
         done = delta <= np.maximum(share, noise)
-        if budget <= 0 or err + float(np.sum(delta)) <= tol.abs_tol:
-            done[:] = True
-        total += float(np.sum(halves[done]))
-        err += float(np.sum(delta[done]))
+        done |= ((budget <= 0) | (err + np.bincount(k, delta, n_int) <= tol.abs_tol))[k]
+        total += np.bincount(k, np.where(done, halves, 0.0), n_int)
+        err += np.bincount(k, np.where(done, delta, 0.0), n_int)
         rounds.append((lo, mid, hi, centre, sign, vals, done))
         if done.all():
-            if budget <= 0 and err > max(tol.abs_tol, tol.rel_tol * abs(total)):
-                raise ConvergenceError("quadrature did not converge", total, err)
-            return total, err, rounds
+            break
         keep = ~done
         lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
-        centre, sign = np.tile(centre[keep], 2), np.tile(sign[keep], 2)
-        share = np.tile(0.5 * share[keep], 2)
+        centre, sign, k, share = (np.concatenate([v, v]) for v in (
+            centre[keep], sign[keep], k[keep], 0.5 * share[keep]))
+    if np.any((budget <= 0) & (err > np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total)))):
+        raise ConvergenceError("quadrature did not converge", out(total), out(err))
+    return out(total), out(err), rounds
 
 
 def _finite_values(f: Callable, x: np.ndarray, who: str) -> np.ndarray:

@@ -165,6 +165,50 @@ class TestCdfConvolution2:
             assert abs(C.cdf(17.3) - cdf) < 1e-10
             assert abs(C.pdf(17.3) - pdf) < 1e-10
 
+    def test_pdf_counts_the_atoms_of_both_factors(self):
+        # W = Phi(-1/2) delta_{-1/2} + phi on (-1/2, inf); W + Z has density
+        # Phi(-1/2) phi(x + 1/2) + phi(x / sqrt2) / sqrt2 * Phi((x + 1) / sqrt2)
+        W, Z = zm.winsorised_normal_left(0.5), zm.normal()
+        s2 = math.sqrt(2.0)
+        for C in (zm.conv2_law(W, Z), zm.conv2_law(Z, W)):
+            for x in (-2.0, -0.5, 0.3, 1.7):
+                want = (zm.std_normal_cdf(-0.5) * zm.std_normal_pdf(x + 0.5)
+                        + zm.std_normal_pdf(x / s2) / s2 * zm.std_normal_cdf((x + 1.0) / s2))
+                assert abs(C.pdf(x) - want) < 1e-10
+            mass, _ = zm.integrate(C.pdf, -12.0, 12.0, breakpoints=[-0.5])
+            assert abs(mass - 1.0) < 1e-9
+
+    def test_atoms_of_both_factors(self):
+        # W + W sits at -1 when both summands do
+        W = zm.winsorised_normal_left(0.5)
+        WW = zm.conv2_law(W, W)
+        mass = zm.std_normal_cdf(-0.5) ** 2
+        [(loc, w)] = WW.atoms()
+        assert loc == -1.0 and abs(w - mass) < 1e-15
+        assert abs(WW.cdf(-1.0) - mass) < 1e-10
+        assert abs(WW.cdf_left(-1.0)) < 1e-10
+        # the near-extremal law's atom at 0 squares
+        eps = 0.2
+        Phi_eps = float(zm.std_normal_cdf(eps))
+        P = zm.mixture([(Phi_eps - 0.5, zm.dirac(0.0)),
+                        (0.5, zm.reflect(zm.truncated_normal_left(0.0))),
+                        (1.0 - Phi_eps, zm.truncated_normal_left(-eps))])
+        [(loc, w)] = zm.conv2_law(P, P).atoms()
+        assert loc == 0.0 and abs(w - (Phi_eps - 0.5) ** 2) < 1e-15
+
+    def test_array_matches_scalar_points(self, monkeypatch):
+        # chunks of 4 points: the 11 points span three integrate calls
+        monkeypatch.setattr("zetametrics.measures._FOLD_CHUNK", 4)
+        W = zm.winsorised_normal_left(0.5)
+        xs = np.linspace(-3.0, 4.0, 11)
+        for C in (zm.conv2_law(W, zm.normal()), zm.conv2_law(zm.uniform(-1.0, 1.0),
+                                                             zm.gamma_power(2.0))):
+            for fn in (C.cdf, C.pdf):
+                got = fn(xs)
+                assert got.shape == xs.shape
+                assert np.max(np.abs(got - [fn(float(x)) for x in xs])) < 1e-15
+            assert C.cdf(xs.reshape(1, 11)).shape == (1, 11)
+
     def test_winsorised_two_fold_asymptotics(self):
         # F*2(-t) = Phi(-t/sqrt2) - (2/sqrt(2 pi)) phi(t)/t^2 + O(phi(t)/t^3)
         t = 3.0

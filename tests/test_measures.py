@@ -65,6 +65,30 @@ class TestCdf:
         assert np.all(np.asarray(law.cdf_left(pts)) <= np.asarray(law.cdf(pts)) + 1e-15)
 
 
+class TestSupport:
+    @pytest.mark.parametrize("eps", [1e-15, 1e-16, 1e-17, 1e-30, 0.0])
+    def test_normal_tails_stay_finite(self, eps):
+        # the upper end leaves eps of the mass above it, also where 1 - eps
+        # rounds to 1
+        for t in (0.0, 1.0, -0.5):
+            for law, z in ((zm.truncated_normal_left(t), 1.0 - zm.std_normal_cdf(-t)),
+                           (zm.winsorised_normal_left(t), 1.0)):
+                lo, hi = law.support(eps)
+                assert lo == -t and math.isfinite(hi)
+                tail = zm.std_normal_cdf(-hi) / z
+                assert abs(tail - max(eps, 1e-300)) < 1e-12 * max(eps, 1e-300)
+
+    def test_convolution_moment_of_truncated_normal(self):
+        # E|X + Y|^3 for X ~ N conditioned on (0, inf) and Y ~ N(0, 1/4)
+        from scipy.integrate import quad
+        C = zm.conv2_law(zm.truncated_normal_left(0.0), zm.normal(0.0, 0.5))
+        inner = lambda x: quad(lambda y: abs(x + y) ** 3 * zm.std_normal_pdf(y / 0.5) / 0.5,
+                               -12.0, 12.0, points=[-x], epsabs=1e-13)[0]
+        want = quad(lambda x: 2.0 * zm.std_normal_pdf(x) * inner(x), 0.0, 12.0,
+                    epsabs=1e-12)[0]
+        assert abs(C.nu(3) - want) < 1e-9
+
+
 class TestMoments:
     def test_normal_closed_forms(self):
         N = zm.normal()

@@ -135,6 +135,81 @@ class TestIntegrate:
         for a, b in ((1.0, 0.0), (-math.inf, 0.0), (0.0, math.inf)):
             with pytest.raises(nm.DomainError):
                 nm.integrate(np.exp, a, b)
+            with pytest.raises(nm.DomainError, match=r"got \["):
+                nm.integrate(lambda x, k: np.exp(x), np.array([0.0, a]), np.array([1.0, b]))
+
+
+class TestIntegrateBatch:
+    """Many intervals in one integrate call against one call per interval."""
+
+    def lone_calls(self, f, a, b, tol=nm.DEFAULT_TOL, bps=None, sing=()):
+        return [nm.integrate(lambda x: f(x, np.full(x.shape, k)), a[k], b[k], tol,
+                             breakpoints=() if bps is None else bps[k], singularities=sing)
+                for k in range(a.size)]
+
+    def test_matches_lone_calls(self):
+        # a kink at c[k] in each interval, given as that interval's
+        # breakpoint; the third interval has zero width
+        a = np.array([-1.0, 0.0, 0.7, -3.0, 2.0])
+        b = np.array([2.0, 5.0, 0.7, 3.0, 2.5])
+        c = np.array([0.3, 4.0, 0.7, -1.2, 2.2])
+        f = lambda x, k: np.exp(-x * x / (1.0 + k)) + np.abs(x - c[k])
+        tol = nm.Tolerance(1e-12, 1e-10)
+        v, e = nm.integrate(f, a, b, tol, breakpoints=c[:, None])
+        assert v.shape == e.shape == (5,)
+        assert v[2] == e[2] == 0.0
+        for k, (v1, e1) in enumerate(self.lone_calls(f, a, b, tol, c[:, None])):
+            assert abs(v[k] - v1) <= max(e[k], e1, 1e-15)
+            assert abs(e[k] - e1) <= 1e-15
+
+    def test_shared_breakpoints_and_singularity(self):
+        # |x|^(-1/2) blows up at the declared 0 (where f is set to 0), an end
+        # of some intervals and inside others; the shared breakpoint 0.5
+        # lies outside the first
+        a = np.array([0.0, -1.0, -0.25, 0.1])
+        b = np.array([0.3, 1.0, 2.0, 3.0])
+        w = np.array([1.0, 2.0, 0.5, 3.0])
+        nodes = []
+        f = lambda x, k: (nodes.append(x.size),
+                          w[k] * np.where(x == 0.0, 0.0, np.abs(x) ** -0.5))[1]
+        with np.errstate(divide="ignore"):
+            v, e = nm.integrate(f, a, b, breakpoints=[0.5], singularities=[0.0])
+            # in t, with x = +-t^6, |x|^(-1/2) dx is the polynomial 6 t^2 dt:
+            # without the declaration, bisection takes some 40,000 nodes
+            assert sum(nodes) < 1000
+            lone = self.lone_calls(f, a, b, bps=[[0.5]] * 4, sing=[0.0])
+        exact = 2.0 * w * (np.sign(b) * np.sqrt(np.abs(b)) - np.sign(a) * np.sqrt(np.abs(a)))
+        assert np.max(np.abs(v - exact)) < 1e-9
+        for k, (v1, e1) in enumerate(lone):
+            assert abs(v[k] - v1) <= max(e[k], e1, 1e-15)
+
+    def test_undeclared_jumps_keep_their_own_budgets(self):
+        # a jump that is no breakpoint is bisected until what is left of
+        # its integral's own tol.abs_tol covers it, with up to 2,000 nodes:
+        # the 160 integrals together need more than one node budget, and
+        # each still gets what it gets alone (up to the rounding of the
+        # matrix products, which may differ with the number of panels)
+        c = np.linspace(0.013, 0.987, 160)
+        nodes = []
+        f = lambda x, k: (nodes.append(x.size), (x > c[k]).astype(float))[1]
+        zeros, ones = np.zeros(c.size), np.ones(c.size)
+        v, e = nm.integrate(f, zeros, ones)
+        assert sum(nodes) > nm._NODE_BUDGET
+        for k, (v1, e1) in enumerate(self.lone_calls(f, zeros, ones)):
+            assert abs(v[k] - v1) <= 1e-15 and abs(e[k] - e1) <= 1e-12 * e1
+
+    def test_no_intervals(self):
+        v, e = nm.integrate(lambda x, k: x, np.array([]), np.array([]))
+        assert v.shape == e.shape == (0,)
+
+    def test_one_failing_integral_fails_the_batch(self):
+        # 1/x on [0, 1] diverges, as it does alone
+        f = lambda x, k: np.where(k == 1, 1.0 / x, np.cos(x))
+        with np.errstate(all="ignore"), pytest.raises(nm.ConvergenceError):
+            nm.integrate(f, np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0, 2.0]))
+        with np.errstate(all="ignore"):
+            v, _ = nm.integrate(f, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+        assert abs(v[0] - math.sin(1.0)) < 1e-12 and abs(v[1] - math.log(2.0)) < 1e-12
 
 
 class TestCumulativeIntegral:
