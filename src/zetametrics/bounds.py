@@ -192,7 +192,7 @@ class NormalDistanceProfile:
 def distance_profile(P: LawSpec, tol: Tolerance = DEFAULT_TOL) -> NormalDistanceProfile:
     Pt = standardise(P)
     M = signed_diff(Pt, STANDARD_NORMAL)
-    z1 = kappa_r(M, 1.0, tol).value
+    z1, k3 = (mv.value for mv in kappa_r(M, (1.0, 3.0), tol))
     cut = zeta3_cut_criterion(P, tol)
     if cut is not None:
         z3 = cut.value
@@ -201,7 +201,6 @@ def distance_profile(P: LawSpec, tol: Tolerance = DEFAULT_TOL) -> NormalDistance
         mv = zeta_r(M, 3, tol)
         z3 = mv.value
         z3_method = mv.method
-    k3 = kappa_r(M, 3.0, tol).value
     nus = {r: nu_r_signed(M, r, tol).value for r in (0, 1, 2, 3)}
     return NormalDistanceProfile(
         law=P, zeta1=z1, zeta3=z3, kappa1=z1, kappa3=k3,

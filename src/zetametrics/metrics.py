@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -308,9 +308,10 @@ def _panel_points(M: SignedMeasure, grid: np.ndarray, seg: List[float]) -> List[
     return sorted(set(seg) | set(M.density_breakpoints()) | {0.0} | set(grid[::8].tolist()))
 
 
-def _telescope(M: SignedMeasure, f_k: Callable, f_k1: Callable,
-               grid: np.ndarray) -> Tuple[float, int, float]:
-    """(integral of |F_k| over the grid, segment count, band loss).
+def _telescope(f_k1: Callable, grid: np.ndarray, seg: List[float],
+               band: float) -> Tuple[float, float]:
+    """(integral of |F_k| over the grid, band loss), from the segment
+    points ``seg`` and zero ``band`` of F_k given by _segment_points.
 
     F_{k+1}' = -F_k, so on each segment between consecutive sign changes
     of F_k the integral of |F_k| is |F_{k+1}(b) - F_{k+1}(a)| exactly.  A
@@ -318,9 +319,8 @@ def _telescope(M: SignedMeasure, f_k: Callable, f_k1: Callable,
     neighbours and lost twice over, so the loss is at most twice the band
     times the grid width.
     """
-    seg, band = _segment_points(M, f_k, grid)
     vals = np.asarray(f_k1(np.array([grid[0]] + seg + [grid[-1]])), dtype=float)
-    return float(np.sum(np.abs(np.diff(vals)))), len(seg), 2.0 * band * (grid[-1] - grid[0])
+    return float(np.sum(np.abs(np.diff(vals)))), 2.0 * band * (grid[-1] - grid[0])
 
 
 def zeta_r(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
@@ -332,11 +332,12 @@ def zeta_r(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
         out.certificate = (out.certificate or {}) | {"delegated": "kappa_1"}
         return out
     stack = build_zeta_stack(M, r, tol, engine=engine, depth=r + 1)
-    total, n_seg, loss = _telescope(M, stack.F(r), stack.F(r + 1), stack.grid)
+    seg, band = _segment_points(M, stack.F(r), stack.grid)
+    total, loss = _telescope(stack.F(r + 1), stack.grid, seg, band)
     err = stack.err_est + loss + max(stack.endpoint_decay) * (stack.grid[-1] - stack.grid[0]) * 1e-3
     method = "closed_form" if stack.engine == "closed" else "quadrature"
     return MetricValue(total, err + 1e-12 * max(1.0, total), method,
-                       certificate={"segments": n_seg,
+                       certificate={"segments": len(seg),
                                     "endpoint_decay": stack.endpoint_decay})
 
 
@@ -344,38 +345,66 @@ def zeta_r(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
 # kappa_r, lambda_1, kolmogorov, nu_r
 # ---------------------------------------------------------------------------
 
-def kappa_r(M: SignedMeasure, r: float, tol: Tolerance = DEFAULT_TOL,
-            engine: str = "auto") -> MetricValue:
-    """kappa_r(M) = integral r |x|^(r-1) |F_M(x)| dx for mass-zero M."""
+def kappa_r(M: SignedMeasure, r: Union[float, Sequence[float]],
+            tol: Tolerance = DEFAULT_TOL,
+            engine: str = "auto") -> Union[MetricValue, List[MetricValue]]:
+    """kappa_r(M) = integral r |x|^(r-1) |F_M(x)| dx for mass-zero M.
+
+    ``r`` is one order, which gives one MetricValue, or a sequence of
+    orders, which gives a list of MetricValues, one per order in the same
+    places: ``kappa_r(M, (1.0, 3.0))``.  All orders share one grid and one
+    segmentation of F_M at its sign changes.  r = 1 telescopes F_{M,2}
+    across the segments; the other orders are the intervals of one
+    batched integrate call, so each gets what it would get alone.  Raises
+    MetricError for the whole call when an order is not positive or nu at
+    the largest order is infinite.
+    """
+    orders = [float(q) for q in np.atleast_1d(r)]
     if abs(M.mass()) > 1e-10:
         raise MassNotZeroError(f"kappa_r needs M(R) = 0, got mass {M.mass():.3e}")
-    if r <= 0:
+    if any(q <= 0 for q in orders):
         raise MetricError("kappa_r needs r > 0")
+    top = max(orders, default=1.0)
     try:
         for _, law in M.terms:
-            law.nu(int(math.ceil(r)))
+            law.nu(int(math.ceil(top)))
     except InfiniteMomentError as exc:
-        raise MetricError(f"kappa_{r} diverges: {exc}") from exc
+        raise MetricError(f"kappa_{top} diverges: {exc}") from exc
     grid = metric_grid(M)
     f1 = closed_measure_stack(M, 1) if engine in ("auto", "closed") else None
     method = "quadrature" if f1 is None else "closed_form"
     if f1 is None:
         g = _measure_grid_function(M, grid)
         f1 = g.fn
-    if r == 1.0:
+    seg, band = _segment_points(M, f1, grid)
+    values = [None] * len(orders)
+    if 1.0 in orders:
         if method == "quadrature":
             cum = cumulative_integral(g, sign=-1, tol=tol)
             f2, cum_err = cum.fn, cum.err_est
         else:
             f2, cum_err = closed_measure_stack(M, 2), 0.0
-        total, n_seg, loss = _telescope(M, f1, f2, grid)
-        return MetricValue(total, loss + cum_err + 1e-11 * max(1.0, total) + 1e-13, method,
-                           certificate={"segments": n_seg})
-    seg, _ = _segment_points(M, f1, grid)
-    total, err = integrate(lambda x: r * np.abs(x) ** (r - 1.0) * np.abs(f1(x)),
-                           grid[0], grid[-1], tol, breakpoints=_panel_points(M, grid, seg))
-    return MetricValue(total, err + 1e-12 * max(1.0, total), method,
-                       certificate={"segments": len(seg)})
+        total, loss = _telescope(f2, grid, seg, band)
+        for i, q in enumerate(orders):
+            if q == 1.0:
+                values[i] = total, loss + cum_err + 1e-11 * max(1.0, total) + 1e-13
+    rest = [i for i, q in enumerate(orders) if q != 1.0]
+    if rest:
+        def weighted(x, k):
+            # one float exponent per order, so that numpy's power takes the
+            # path it takes in a lone call
+            w = np.empty_like(x)
+            for j, i in enumerate(rest):
+                on = k == j
+                w[on] = orders[i] * np.abs(x[on]) ** (orders[i] - 1.0)
+            return w * np.abs(f1(x))
+
+        ends = np.full(len(rest), grid[0]), np.full(len(rest), grid[-1])
+        totals, errs = integrate(weighted, *ends, tol, breakpoints=_panel_points(M, grid, seg))
+        for i, total, err in zip(rest, totals.tolist(), errs.tolist()):
+            values[i] = total, err + 1e-12 * max(1.0, total)
+    out = [MetricValue(v, e, method, certificate={"segments": len(seg)}) for v, e in values]
+    return out if np.ndim(r) else out[0]
 
 
 def lambda_1(M: SignedMeasure) -> float:
@@ -454,15 +483,14 @@ def nu_r_signed(M: SignedMeasure, r: int,
 # cut criterion for zeta_3
 # ---------------------------------------------------------------------------
 
-def _certified_sign_count(fn: Callable, grid: np.ndarray, vals: np.ndarray,
+def _certified_sign_count(fn: Callable, grid: np.ndarray, count: int,
                           band: float):
     """(count, first_sign, certified).
 
-    Counts alternations of fn from its values ``vals`` on ``grid``, then
-    re-samples at 8 points per panel and certifies the count only if no
-    extra alternation shows up (the finer count is returned either way).
+    Re-samples fn at 8 points per panel of ``grid`` and certifies ``count``,
+    the alternations of fn's values on the grid, only if no extra
+    alternation shows up (the finer count is returned either way).
     """
-    count, _, _ = scan_sign_changes(vals, band)
     fine_count, first, _ = scan_sign_changes(
         np.asarray(fn(refine_grid(grid, 8)), dtype=float), band)
     return fine_count, first, fine_count == count
@@ -475,7 +503,11 @@ def zeta3_cut_criterion(P: LawSpec, tol: Tolerance = DEFAULT_TOL
     Returns |mu_3| / 6 when F~ - Phi certifiably changes sign at most
     twice and mu_3(P~) != 0; for symmetric densities with exactly four
     certified sign changes of f~ - phi it returns |nu_3(P~) - nu_3(N)|/6.
-    Any other configuration declines (callers fall back to zeta_r).
+    Any other configuration declines (callers fall back to zeta_r).  It
+    declines before the 8x re-sample when F~ - Phi already alternates
+    more than twice on the grid and the symmetric-density branch cannot
+    apply (P~ has atoms or |mu_3| > 1e-8): the re-sample keeps every grid
+    point and the zero band, so it cannot count fewer alternations.
     """
     Pt = standardise(P)
     M = signed_diff(Pt, STANDARD_NORMAL)
@@ -487,8 +519,12 @@ def zeta3_cut_criterion(P: LawSpec, tol: Tolerance = DEFAULT_TOL
                            certificate={"sign_changes": 0, "first_sign": 0})
     mu3 = Pt.mu(3)
     band = 1e-9 * sup0
+    symmetric_branch = Pt.has_density and not Pt.atoms() and abs(mu3) <= 1e-8
+    count, _, _ = scan_sign_changes(dvals, band)
+    if count > 2 and not symmetric_branch:
+        return None
     # left limits matter at atoms: sample strictly between features
-    count, first, certified = _certified_sign_count(M.cdf, grid, dvals, band)
+    count, first, certified = _certified_sign_count(M.cdf, grid, count, band)
     if certified and count <= 2 and abs(mu3) > 1e-8:
         return MetricValue(abs(mu3) / 6.0, 1e-12 * max(1.0, abs(mu3)),
                            "cut_criterion",
@@ -496,7 +532,7 @@ def zeta3_cut_criterion(P: LawSpec, tol: Tolerance = DEFAULT_TOL
                                         "first_sign": int(first),
                                         "rule": "two_crossings"})
     # symmetric-density branch: four certified crossings of the density gap
-    if Pt.has_density and not Pt.atoms() and abs(mu3) <= 1e-8:
+    if symmetric_branch:
         xs = np.linspace(0.1, 6.0, 101)
         f_pos = np.asarray(Pt.pdf(xs), dtype=float)
         f_neg = np.asarray(Pt.pdf(-xs), dtype=float)
@@ -506,7 +542,8 @@ def zeta3_cut_criterion(P: LawSpec, tol: Tolerance = DEFAULT_TOL
                               - std_normal_pdf(np.asarray(x, dtype=float)))
             dv = np.asarray(dens(grid), dtype=float)
             dband = 1e-9 * float(np.max(np.abs(dv)) or 1.0)
-            cnt, dfirst, cert = _certified_sign_count(dens, grid, dv, dband)
+            cnt, dfirst, cert = _certified_sign_count(
+                dens, grid, scan_sign_changes(dv, dband)[0], dband)
             if cert and cnt == 4:
                 val = abs(Pt.nu(3) - STANDARD_NORMAL.nu(3)) / 6.0
                 expected_first = 1 if Pt.nu(3) > STANDARD_NORMAL.nu(3) else -1

@@ -209,11 +209,12 @@ _GL_W = np.array([0.29552422471475287, 0.26926671930999635, 0.21908636251598204,
 _GL_X = np.concatenate([-_GL_X[::-1], _GL_X])
 _GL_W = np.concatenate([_GL_W[::-1], _GL_W])
 # a probe at u = -_END_U, just inside the left end of [-1, 1], and the
-# Lagrange weights that extrapolate the rule's interpolant there (mirrored
-# for the right end)
+# Lagrange weights that extrapolate the rule's interpolant there; the
+# columns of _GL_ENDS are those for the left and the right end
 _END_U = 1.0 - 1e-9
 _GL_END = np.array([np.prod([(-_END_U - xk) / (xj - xk) for xk in _GL_X if xk != xj])
                     for xj in _GL_X])
+_GL_ENDS = np.stack([_GL_END, _GL_END[::-1]], axis=1)
 # node values -> Legendre coefficients of the antiderivative, from u = -1,
 # of their degree-9 interpolant (10 x 11): c_k = (2k+1)/2 sum_j w_j P_k(x_j) v_j,
 # and P_k integrates to (P_{k+1} - P_{k-1}) / (2k+1), P_0 to P_1 + P_0
@@ -245,15 +246,16 @@ def integrate(f: Callable, a, b, tol: Tolerance = DEFAULT_TOL,
     width's share of tol.abs_tol, and all open panels of an integral are
     when their summed disagreements fit in what its accepted ones left of
     tol.abs_tol (a jump that is no breakpoint never meets its share); the
-    rest are bisected.  Neither estimate has a node between a panel end
-    and the outermost node of its half, so f is also probed just inside
-    each end, and the gap to the half's interpolant there, times the width
-    of that unseen strip, joins the disagreement: a kink or jump next to an
-    end is bisected, not accepted.  No node lies on a panel end, so f needs
-    no one-sided value at a jump.  ``singularities`` (shared by all
-    intervals) declare integrable blow-ups milder than |x - s|^(-5/6); a
-    panel next to one, or next to an end where f is not finite, is
-    integrated in t with x = s +- t^6 (and not probed at its centre).
+    rest are bisected.  Neither estimate has a node between an end of a
+    half and the half's outermost node, so f is also probed just inside
+    both ends of each half, and the gap to the half's interpolant there,
+    times the width of that unseen strip, joins the disagreement: a kink
+    or jump next to a panel end or its midpoint is bisected, not accepted.
+    No node lies on a panel end, so f needs no one-sided value at a jump.
+    ``singularities`` (shared by all intervals) declare integrable blow-ups
+    milder than |x - s|^(-5/6); a panel next to one, or next to an end
+    where f is not finite, is integrated in t with x = s +- t^6 (and not
+    probed at its centre).
     Returns (value, err_est); raises ConvergenceError when a panel estimate
     is not finite, or when an integral's node budget runs out before its
     err_est is within max(abs_tol, rel_tol * |value|).
@@ -332,30 +334,30 @@ def _gl_panels(f, a, b, tol, breakpoints, singularities):
         mid = 0.5 * (lo + hi)
         half = 0.5 * np.stack([hi - lo, mid - lo, hi - mid], axis=1)
         t = (np.stack([lo, lo, mid], axis=1) + half)[..., None] + half[..., None] * _GL_X
-        # then a probe just inside each end
+        # then a probe just inside both ends of each half
         inset = (1.0 - _END_U) * half[:, 1]
-        t = np.concatenate([t.reshape(len(lo), -1), (lo + inset)[:, None],
-                            (hi - inset)[:, None]], axis=1)
+        t = np.concatenate([t.reshape(len(lo), -1), np.stack(
+            [lo + inset, mid - inset, mid + inset, hi - inset], axis=1)], axis=1)
         m = sign != 0
         mapped = bool(m.any())
         x = t
         if mapped:
             at_centre = m & (lo == 0.0)      # no probe there: f blows up
-            t[at_centre, -2] = mid[at_centre]
+            t[at_centre, -4] = mid[at_centre]
             x = t.copy()
             x[m] = centre[m, None] + sign[m, None] * t[m] ** 6
         vals = np.asarray(f(x.ravel(), np.repeat(k, x.shape[1])), dtype=float).reshape(x.shape)
         if mapped:
             vals[m] *= 6.0 * t[m] ** 5
         budget -= x.shape[1] * np.bincount(k, minlength=n_int)
-        probes, vals = vals[:, -2:], vals[:, :-2].reshape(-1, 3, _GL_X.size)
+        probes, vals = vals[:, -4:], vals[:, :-4].reshape(-1, 3, _GL_X.size)
         est = half * (vals @ _GL_W)
         halves = est[:, 1] + est[:, 2]
-        gap_lo = np.abs(probes[:, 0] - vals[:, 1] @ _GL_END)
+        # probe order: left half's left and right end, then the right half's
+        gaps = np.abs(probes - (vals[:, 1:] @ _GL_ENDS).reshape(-1, 4))
         if mapped:
-            gap_lo[at_centre] = 0.0
-        gaps = gap_lo + np.abs(probes[:, 1] - vals[:, 2] @ _GL_END[::-1])
-        delta = np.abs(halves - est[:, 0]) + (1.0 - _GL_X[-1]) * half[:, 1] * gaps
+            gaps[at_centre, 0] = 0.0
+        delta = np.abs(halves - est[:, 0]) + (1.0 - _GL_X[-1]) * half[:, 1] * gaps.sum(axis=1)
         if not np.all(np.isfinite(halves) & np.isfinite(delta)):
             raise ConvergenceError("quadrature estimate is not finite",
                                    out(total + np.bincount(k, halves, n_int)),

@@ -109,9 +109,9 @@ def zolotarev_M() -> Tuple[List[Dict], bool]:
     for r_ in range(4):
         ok &= add(f"nu_{r_}(M)", nu_r_signed(M, r_, tol).value,
                   3.0 ** (r_ / 2.0) / (r_ + 1.0) + 1.0)
-    for r_ in (1, 2, 3):
+    for r_, kappa in zip((1, 2, 3), kappa_r(M, (1.0, 2.0, 3.0), tol)):
         exact = (3.0 ** (r_ / 2.0) + (2.0 * SQRT3 - 3.0) * r_ / 3.0 - 1.0) / (r_ + 1.0)
-        ok &= add(f"kappa_{r_}(M)", kappa_r(M, float(r_), tol).value, exact)
+        ok &= add(f"kappa_{r_}(M)", kappa.value, exact)
     ok &= add("zeta_1(M)", zeta_r(M, 1, tol).value, (5.0 * SQRT3 - 6.0) / 6.0)
     ok &= add("zeta_3(M)", zeta_r(M, 3, tol).value, (3.0 * SQRT3 - 4.0) / 24.0)
     ok &= add("zeta_4(M)", zeta_r(M, 4, tol).value, 1.0 / 30.0)

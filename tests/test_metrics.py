@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import zetametrics as zm
-from zetametrics.metrics import (MassNotZeroError, MomentConditionError, _telescope,
-                                 closed_measure_stack)
+from zetametrics.metrics import (MassNotZeroError, MetricError, MomentConditionError,
+                                 _segment_points, _telescope, closed_measure_stack)
 from zetametrics.numerics import GridFunction
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -122,6 +122,30 @@ class TestKappa:
         M = zm.signed_diff(heavy, zm.STANDARD_NORMAL)
         with pytest.raises(Exception, match="diverges"):
             zm.kappa_r(M, 3.0)
+
+    @pytest.mark.parametrize("engine", ["auto", "quadrature"])
+    @pytest.mark.parametrize("M", [
+        zolotarev_M(),
+        zm.signed_diff(zm.standardise(zm.rounded(0.5, 0.3, zm.normal())), zm.STANDARD_NORMAL),
+        zm.signed_diff(zm.standardise(zm.gamma_power(2.0)), zm.STANDARD_NORMAL)],
+        ids=["closed_stack", "rounded", "quadrature_only"])
+    def test_orders_in_one_call_equal_lone_calls(self, M, engine):
+        orders = (3.0, 1.0, 2.5, 1.0)
+        together = zm.kappa_r(M, orders, engine=engine)
+        assert isinstance(together, list) and len(together) == len(orders)
+        for q, mv in zip(orders, together):
+            alone = zm.kappa_r(M, q, engine=engine)
+            assert (mv.value, mv.err_est, mv.method, mv.certificate) == \
+                (alone.value, alone.err_est, alone.method, alone.certificate)
+
+    def test_order_checks_cover_the_whole_sequence(self):
+        for orders in ((1.0, 0.0), (2.0, -1.0, 3.0)):
+            with pytest.raises(MetricError, match="r > 0"):
+                zm.kappa_r(zolotarev_M(), orders)
+        heavy = zm.gamma_power(2.0, 1.0, -1.0)
+        assert math.isfinite(heavy.nu(1))         # nu_1 is finite, nu_3 is not
+        with pytest.raises(MetricError, match="diverges"):
+            zm.kappa_r(zm.signed_diff(heavy, zm.STANDARD_NORMAL), (1.0, 3.0))
 
 
 class _BrokenMoments(zm.Normal):
@@ -247,9 +271,10 @@ class TestZetaValues:
         f_k = lambda x: np.where(np.asarray(x) < 1.0, 1.0, -5e-12)
         f_k1 = lambda x: np.where(np.asarray(x) < 1.0, -(np.asarray(x) + 1.0),
                                   -2.0 + 5e-12 * (np.asarray(x) - 1.0))
-        total, n_seg, loss = _telescope(zm.SignedMeasure([]), f_k, f_k1,
-                                        np.linspace(-1.0, 2.0, 31))
-        assert n_seg == 0
+        grid = np.linspace(-1.0, 2.0, 31)
+        seg, band = _segment_points(zm.SignedMeasure([]), f_k, grid)
+        total, loss = _telescope(f_k1, grid, seg, band)
+        assert seg == []
         assert 1e-11 - 1e-14 < abs(total - (2.0 + 5e-12)) <= loss
 
     def test_zeta1_delegates_to_kappa(self):

@@ -114,6 +114,13 @@ class TestIntegrate:
             v, _ = nm.integrate(f, 0.0, 40.0, nm.Tolerance(1e-12, 1e-10), breakpoints=[0.3])
             assert abs(v - exact) < 1e-11
 
+    def test_jump_next_to_a_midpoint(self):
+        # undeclared jumps, some between a panel's midpoint and the first
+        # node of one of its halves, where only the inner-end probes see them
+        for c in np.linspace(0.013, 0.987, 120):
+            v, _ = nm.integrate(lambda x: (x > c).astype(float), 0.0, 1.0)
+            assert abs(v - (1.0 - c)) < 1e-9, c
+
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_declared_singularity(self, k):
         # the gamma density with alpha = 1/2 blows up like x^(-1/2) at 0

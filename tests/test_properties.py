@@ -1,5 +1,6 @@
-"""Randomised properties of the metrics and of the rounding operators, and
-the batched root finder of ``sign_roots`` against its one-bracket loop."""
+"""Randomised properties of the metrics and of the rounding operators, the
+batched root finder of ``sign_roots`` against its one-bracket loop, and the
+early decline of ``zeta3_cut_criterion`` against the path without it."""
 
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import zetametrics as zm
 from zetametrics import numerics as nm
+from zetametrics.metrics import _certified_sign_count, metric_grid
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -147,3 +149,53 @@ def test_batched_roots_match_loop_corpus_law():
 @given(standardised_atomic_laws(), st.sampled_from([2, 3]))
 def test_batched_roots_match_loop_atomic(P, r):
     assert_batched_roots_match(zm.signed_diff(P, zm.normal()), r, range(1, r + 1))
+
+
+def full_path_cut(P):
+    """zeta3_cut_criterion without its early decline, for a law outside the
+    symmetric-density branch: (value, coarse), where value is |mu_3| / 6
+    when the 8x re-sample certifies at most two alternations of F~ - Phi,
+    else None, and coarse is the alternation count on the grid alone."""
+    Pt = zm.standardise(P)
+    M = zm.signed_diff(Pt, zm.STANDARD_NORMAL)
+    grid = metric_grid(M, n_base=1024)
+    vals = M.cdf(grid)
+    band = 1e-9 * float(np.max(np.abs(vals)))
+    coarse, _, _ = nm.scan_sign_changes(vals, band)
+    count, _, certified = _certified_sign_count(M.cdf, grid, coarse, band)
+    mu3 = Pt.mu(3)
+    value = abs(mu3) / 6.0 if certified and count <= 2 and abs(mu3) > 1e-8 else None
+    return value, coarse
+
+
+def assert_cut_matches_full_path(P):
+    """The cut criterion of P equals full_path_cut; returns full_path_cut
+    (a coarse count above 2 means the early decline answered)."""
+    Pt = zm.standardise(P)
+    assert Pt.atoms() or abs(Pt.mu(3)) > 1e-8      # no symmetric-density branch
+    cut = zm.zeta3_cut_criterion(P)
+    value, coarse = full_path_cut(P)
+    assert (None if cut is None else cut.value) == value
+    return value, coarse
+
+
+def test_cut_early_decline_corpus(corpus):
+    for _, P in corpus:
+        assert assert_cut_matches_full_path(P)[1] > 2
+
+
+def test_cut_early_decline_paper_laws():
+    # the example 1.4 rows decline early; the laws of criterion 4 and a
+    # truncated normal are certified after the re-sample
+    for eta in (1.0, 0.1, 0.01):
+        assert assert_cut_matches_full_path(zm.rounded(eta, 0.0, zm.normal()))[1] > 2
+    for P in (zm.gamma_power(1.0), zm.gamma_power(4.0), zm.truncated_normal_left(2.0)):
+        value, coarse = assert_cut_matches_full_path(P)
+        assert value is not None and coarse <= 2
+
+
+@FEW
+@given(atomic_laws(min_atoms=2))
+def test_cut_early_decline_lattice(P):
+    assume(P.std > 0.05)
+    assert_cut_matches_full_path(P)
