@@ -303,7 +303,7 @@ def convolution_inequality_check(F1: LawSpec, F2: LawSpec,
                                 "(bounded density, no atoms)")
         lo, hi = H.support(1e-9)
         xs = np.linspace(lo, hi, 4097)
-        return float(np.max(np.asarray(H.pdf(xs), dtype=float)))
+        return float(np.max(H.pdf(xs)))
 
     L1 = lipschitz(H1)
     L2 = lipschitz(H2)

@@ -14,18 +14,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .numerics import (DEFAULT_TOL, DomainError, Tolerance, find_root,
-                       gamma_ratio, integrate, reg_incomplete_gamma,
+                       gamma_ratio, integrate, on_array, reg_incomplete_gamma,
                        std_normal_cdf, std_normal_pdf, std_normal_quantile,
                        INV_SQRT_2PI)
 
 ATOM_MERGE_RTOL = 1e-12
 SUPPORT_EPS = 1e-15
+ROUNDING_TAIL_MASS = 1e-14    # base mass a rounding may leave outside its cells
 
 
 class MeasureError(Exception):
@@ -75,34 +76,39 @@ def normal_abs_window_moment(r: int, a: float, b: float) -> float:
 # -- base class ---------------------------------------------------------------
 
 class LawSpec:
-    """Abstract probability law.  Subclasses are immutable value objects."""
+    """Abstract probability law.  Subclasses are immutable value objects.
+
+    ``cdf``, ``cdf_left`` and ``pdf`` give a float for a scalar x and an
+    array of x's shape for an array; subclasses implement ``_cdf``,
+    ``_cdf_left`` and ``_pdf`` on 1-D float arrays.
+    """
 
     family: str = "abstract"
 
     # -- distribution surface
     def cdf(self, x):
-        raise NotImplementedError
+        return on_array(self._cdf, x)
 
     def cdf_left(self, x):
-        x = np.asarray(x, dtype=float)
+        return on_array(self._cdf_left, x)
+
+    def pdf(self, x):
+        return on_array(self._pdf, x)
+
+    def _cdf(self, x):
+        raise NotImplementedError
+
+    def _cdf_left(self, x):
         atoms = self.atoms()
         if not atoms:
             return self.cdf(x)
-        out = np.asarray(self.cdf(x), dtype=float).copy()
-        locs = np.array([a for a, _ in atoms])
-        wts = np.array([w for _, w in atoms])
-        scalar = out.ndim == 0
-        outa = np.atleast_1d(out)
-        xa = np.atleast_1d(x)
-        for loc, w in zip(locs, wts):
-            outa[np.isclose(xa, loc, rtol=0, atol=ATOM_MERGE_RTOL * max(1.0, abs(loc)))] -= w
-        outa = np.clip(outa, 0.0, 1.0)
-        return float(outa[0]) if scalar else outa
+        out = self.cdf(x).copy()
+        for loc, w in atoms:
+            out[np.isclose(x, loc, rtol=0, atol=ATOM_MERGE_RTOL * max(1.0, abs(loc)))] -= w
+        return np.clip(out, 0.0, 1.0)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(np.atleast_1d(x))
-        return float(out[0]) if x.ndim == 0 else out
+    def _pdf(self, x):
+        return np.zeros_like(x)
 
     @property
     def has_density(self) -> bool:
@@ -168,8 +174,7 @@ class LawSpec:
         lo, hi = self.support(1e-16)
         total = sum(w * (abs(a) ** k if absolute else a ** k) for a, w in self.atoms())
         if self.has_density:
-            f = lambda x: ((np.abs(x) if absolute else x) ** k
-                           * np.asarray(self.pdf(x), dtype=float))
+            f = lambda x: (np.abs(x) if absolute else x) ** k * self.pdf(x)
             v, _ = integrate(f, lo, hi, Tolerance(1e-11, 1e-10),
                              breakpoints=self.density_breakpoints() + [0.0],
                              singularities=self.density_singularities())
@@ -184,10 +189,8 @@ class Dirac(LawSpec):
     a: float
     family = "dirac"
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = (x >= self.a).astype(float)
-        return float(out) if out.ndim == 0 else out
+    def _cdf(self, x):
+        return (x >= self.a).astype(float)
 
     def atoms(self):
         return [(self.a, 1.0)]
@@ -230,17 +233,12 @@ class Atoms(LawSpec):
         self._wts = np.array([w for _, w in merged])
         self._cum = np.cumsum(self._wts)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._locs, x, side="right")
-        out = np.where(idx > 0, self._cum[np.maximum(idx - 1, 0)], 0.0)
-        return float(out) if out.ndim == 0 else out
+    def _cdf(self, x, side="right"):
+        idx = np.searchsorted(self._locs, x, side=side)
+        return np.where(idx > 0, self._cum[np.maximum(idx - 1, 0)], 0.0)
 
-    def cdf_left(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._locs, x, side="left")
-        out = np.where(idx > 0, self._cum[np.maximum(idx - 1, 0)], 0.0)
-        return float(out) if out.ndim == 0 else out
+    def _cdf_left(self, x):
+        return self._cdf(x, side="left")
 
     def atoms(self):
         return list(zip(self._locs.tolist(), self._wts.tolist()))
@@ -321,11 +319,11 @@ class Normal(LawSpec):
         if self.sigma <= 0:
             raise DomainError(f"normal needs sigma > 0, got {self.sigma}")
 
-    def cdf(self, x):
-        return std_normal_cdf((np.asarray(x, dtype=float) - self.mu_loc) / self.sigma)
+    def _cdf(self, x):
+        return std_normal_cdf((x - self.mu_loc) / self.sigma)
 
-    def pdf(self, x):
-        return std_normal_pdf((np.asarray(x, dtype=float) - self.mu_loc) / self.sigma) / self.sigma
+    def _pdf(self, x):
+        return std_normal_pdf((x - self.mu_loc) / self.sigma) / self.sigma
 
     @property
     def has_density(self):
@@ -381,15 +379,11 @@ class Uniform(LawSpec):
         if not self.a < self.b:
             raise DomainError(f"uniform needs a < b, got [{self.a}, {self.b}]")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+    def _cdf(self, x):
+        return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
-        return float(out) if out.ndim == 0 else out
+    def _pdf(self, x):
+        return np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
 
     @property
     def has_density(self):
@@ -431,16 +425,12 @@ class TruncatedNormalLeft(LawSpec):
     def _z(self) -> float:
         return 1.0 - std_normal_cdf(-self.t)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         out = np.clip((std_normal_cdf(x) - std_normal_cdf(-self.t)) / self._z, 0.0, 1.0)
-        out = np.where(x < -self.t, 0.0, out)
-        return float(out) if out.ndim == 0 else out
+        return np.where(x < -self.t, 0.0, out)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x > -self.t, std_normal_pdf(x) / self._z, 0.0)
-        return float(out) if out.ndim == 0 else out
+    def _pdf(self, x):
+        return np.where(x > -self.t, std_normal_pdf(x) / self._z, 0.0)
 
     @property
     def has_density(self):
@@ -478,15 +468,11 @@ class WinsorisedNormalLeft(LawSpec):
     t: float
     family = "winsorised_normal_left"
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= -self.t, std_normal_cdf(np.maximum(x, -self.t)), 0.0)
-        return float(out) if out.ndim == 0 else out
+    def _cdf(self, x):
+        return np.where(x >= -self.t, std_normal_cdf(np.maximum(x, -self.t)), 0.0)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x > -self.t, std_normal_pdf(x), 0.0)
-        return float(out) if out.ndim == 0 else out
+    def _pdf(self, x):
+        return np.where(x > -self.t, std_normal_pdf(x), 0.0)
 
     @property
     def has_density(self):
@@ -532,33 +518,22 @@ class GammaPower(LawSpec):
         if self.alpha <= 0 or self.lam <= 0 or self.beta == 0:
             raise DomainError("gamma_power needs alpha > 0, lam > 0, beta != 0")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xa = np.atleast_1d(x).astype(float)
-        out = np.zeros_like(xa)
-        pos = xa > 0
-        if np.any(pos):
-            vals = np.array([reg_incomplete_gamma(self.alpha, self.lam * v ** self.beta)
-                             for v in xa[pos]])
-            out[pos] = vals if self.beta > 0 else 1.0 - vals
-        if self.beta < 0:
-            out[~pos] = 0.0
-        return float(out[0]) if scalar else out
+    def _cdf(self, x):
+        out = np.zeros_like(x)
+        pos = x > 0
+        vals = np.array([reg_incomplete_gamma(self.alpha, self.lam * v ** self.beta)
+                         for v in x[pos]])
+        out[pos] = vals if self.beta > 0 else 1.0 - vals
+        return out
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xa = np.atleast_1d(x).astype(float)
-        out = np.zeros_like(xa)
-        pos = xa > 0
-        if np.any(pos):
-            la, a, b = self.lam, self.alpha, self.beta
-            lg = math.lgamma(a)
-            v = xa[pos]
-            out[pos] = np.exp(a * math.log(la) + (a * b - 1.0) * np.log(v)
-                              - la * v ** b - lg) * abs(b)
-        return float(out[0]) if scalar else out
+    def _pdf(self, x):
+        out = np.zeros_like(x)
+        pos = x > 0
+        la, a, b = self.lam, self.alpha, self.beta
+        v = x[pos]
+        out[pos] = np.exp(a * math.log(la) + (a * b - 1.0) * np.log(v)
+                          - la * v ** b - math.lgamma(a)) * abs(b)
+        return out
 
     @property
     def has_density(self):
@@ -649,22 +624,16 @@ class SubbotinLaw(LawSpec):
         if self.scale <= 0:
             raise DomainError("subbotin needs scale > 0")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xa = np.atleast_1d(x).astype(float)
+    def _cdf(self, x):
         half = np.array([reg_incomplete_gamma(1.0 / self.beta,
                                               (abs(v) / self.scale) ** self.beta)
-                         for v in xa])
-        out = 0.5 + 0.5 * np.sign(xa) * half
-        return float(out[0]) if scalar else out
+                         for v in x])
+        return 0.5 + 0.5 * np.sign(x) * half
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, x):
         b, a = self.beta, self.scale
         c = b / (2.0 * a * math.gamma(1.0 / b))
-        out = c * np.exp(-np.power(np.abs(x / a), b))
-        return float(out) if out.ndim == 0 else out
+        return c * np.exp(-np.power(np.abs(x / a), b))
 
     @property
     def has_density(self):
@@ -705,6 +674,14 @@ def subbotin(beta: float, scale: float = 1.0) -> LawSpec:
 
 # -- structural nodes ---------------------------------------------------------
 
+def _combine(parts: Sequence[Tuple[float, LawSpec]], name: str, x: np.ndarray) -> np.ndarray:
+    """sum of c * law.<name>(x) over the (c, law) pairs, on a 1-D array x."""
+    out = np.zeros_like(x)
+    for c, law in parts:
+        out += c * getattr(law, name)(x)
+    return out
+
+
 class Mixture(LawSpec):
     family = "mixture"
 
@@ -716,20 +693,14 @@ class Mixture(LawSpec):
             raise DomainError("mixture weights must sum to 1")
         self.parts = parts
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = sum(w * np.asarray(law.cdf(x), dtype=float) for w, law in self.parts)
-        return float(out) if np.ndim(out) == 0 else out
+    def _cdf(self, x):
+        return _combine(self.parts, "cdf", x)
 
-    def cdf_left(self, x):
-        x = np.asarray(x, dtype=float)
-        out = sum(w * np.asarray(law.cdf_left(x), dtype=float) for w, law in self.parts)
-        return float(out) if np.ndim(out) == 0 else out
+    def _cdf_left(self, x):
+        return _combine(self.parts, "cdf_left", x)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = sum(w * np.asarray(law.pdf(x), dtype=float) for w, law in self.parts)
-        return float(out) if np.ndim(out) == 0 else out
+    def _pdf(self, x):
+        return _combine(self.parts, "pdf", x)
 
     @property
     def has_density(self):
@@ -785,25 +756,18 @@ class Affine(LawSpec):
         self.base = base
 
     def _pull(self, x):
-        return (np.asarray(x, dtype=float) - self.d) / self.c
+        return (x - self.d) / self.c
 
-    def cdf(self, x):
+    def _cdf(self, x):
         y = self._pull(x)
-        if self.c > 0:
-            return self.base.cdf(y)
-        out = 1.0 - np.asarray(self.base.cdf_left(y), dtype=float)
-        return float(out) if np.ndim(out) == 0 else out
+        return self.base.cdf(y) if self.c > 0 else 1.0 - self.base.cdf_left(y)
 
-    def cdf_left(self, x):
+    def _cdf_left(self, x):
         y = self._pull(x)
-        if self.c > 0:
-            return self.base.cdf_left(y)
-        out = 1.0 - np.asarray(self.base.cdf(y), dtype=float)
-        return float(out) if np.ndim(out) == 0 else out
+        return self.base.cdf_left(y) if self.c > 0 else 1.0 - self.base.cdf(y)
 
-    def pdf(self, x):
-        out = np.asarray(self.base.pdf(self._pull(x)), dtype=float) / abs(self.c)
-        return float(out) if np.ndim(out) == 0 else out
+    def _pdf(self, x):
+        return self.base.pdf(self._pull(x)) / abs(self.c)
 
     @property
     def has_density(self):
@@ -895,25 +859,22 @@ class Rounded(LawSpec):
 
     family = "rounded"
 
-    def __init__(self, eta: float, alpha: float, base: LawSpec,
-                 tail_mass: float = 1e-14):
+    def __init__(self, eta: float, alpha: float, base: LawSpec):
         if eta <= 0:
             raise DomainError("rounding needs eta > 0")
         self.eta = float(eta)
         self.alpha = float(alpha)
         self.base = base
-        self.tail_mass = tail_mass
         self._inner: Optional[Atoms] = None
 
     def _weights(self) -> Atoms:
         if self._inner is None:
-            lo, hi = self.base.support(self.tail_mass / 4.0)
+            lo, hi = self.base.support(ROUNDING_TAIL_MASS / 4.0)
             j_lo = math.floor(lo / self.eta - self.alpha + 0.5) - 1
             j_hi = math.ceil(hi / self.eta - self.alpha - 0.5) + 1
             js = np.arange(j_lo, j_hi + 1)
             edges = (self.alpha + js[0] - 0.5 + np.arange(js.size + 1)) * self.eta
-            F = np.asarray(self.base.cdf(edges), dtype=float)
-            p = np.diff(F)
+            p = np.diff(self.base.cdf(edges))
             for x, w in self.base.atoms():
                 k = (x / self.eta) - self.alpha + 0.5
                 if abs(k - round(k)) <= ATOM_MERGE_RTOL * max(1.0, abs(k)):
@@ -933,10 +894,10 @@ class Rounded(LawSpec):
                                          (p[keep] / p[keep].sum()).tolist())))
         return self._inner
 
-    def cdf(self, x):
+    def _cdf(self, x):
         return self._weights().cdf(x)
 
-    def cdf_left(self, x):
+    def _cdf_left(self, x):
         return self._weights().cdf_left(x)
 
     def atoms(self):
@@ -964,14 +925,13 @@ class HistogramLaw(LawSpec):
 
     family = "histogram"
 
-    def __init__(self, eta: float, alpha: float, base: LawSpec,
-                 tail_mass: float = 1e-14):
+    def __init__(self, eta: float, alpha: float, base: LawSpec):
         if eta <= 0:
             raise DomainError("histogram needs eta > 0")
         self.eta = float(eta)
         self.alpha = float(alpha)
         self.base = base
-        self._rounded = Rounded(eta, alpha, base, tail_mass)
+        self._rounded = Rounded(eta, alpha, base)
 
     def _cells(self):
         pts = self._rounded.atoms()
@@ -979,27 +939,23 @@ class HistogramLaw(LawSpec):
         w = np.array([wt for _, wt in pts])
         return centers, w
 
-    def cdf(self, x):
+    def _cdf(self, x):
         centers, w = self._cells()
-        x = np.asarray(x, dtype=float)
         left = centers - self.eta / 2.0
         cum = np.concatenate([[0.0], np.cumsum(w)])
         idx = np.searchsorted(left, x, side="right") - 1
         idx = np.clip(idx, -1, centers.size - 1)
         inside = np.clip((x - left[np.maximum(idx, 0)]) / self.eta, 0.0, 1.0)
         out = np.where(idx >= 0, cum[np.maximum(idx, 0)] + w[np.maximum(idx, 0)] * inside, 0.0)
-        out = np.clip(out, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+        return np.clip(out, 0.0, 1.0)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         centers, w = self._cells()
-        x = np.asarray(x, dtype=float)
         left = centers - self.eta / 2.0
         idx = np.searchsorted(left, x, side="right") - 1
         idx_c = np.clip(idx, 0, centers.size - 1)
         inside = (idx >= 0) & (x <= centers[idx_c] + self.eta / 2.0)
-        out = np.where(inside, w[idx_c] / self.eta, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where(inside, w[idx_c] / self.eta, 0.0)
 
     @property
     def has_density(self):
@@ -1059,20 +1015,14 @@ class Truncated(LawSpec):
         if self._z <= 0:
             raise DomainError("truncation window has zero mass")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         fa = float(self.base.cdf(self.a))
-        out = (np.asarray(self.base.cdf(np.clip(x, self.a, self.b)), dtype=float)
-               - fa) / self._z
-        out = np.clip(out, 0.0, 1.0)
-        out = np.where(x < self.a, 0.0, np.where(x >= self.b, 1.0, out))
-        return float(out) if out.ndim == 0 else out
+        out = np.clip((self.base.cdf(np.clip(x, self.a, self.b)) - fa) / self._z, 0.0, 1.0)
+        return np.where(x < self.a, 0.0, np.where(x >= self.b, 1.0, out))
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, x):
         inside = (x > self.a) & (x <= self.b)
-        out = np.where(inside, np.asarray(self.base.pdf(x), dtype=float) / self._z, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where(inside, self.base.pdf(x) / self._z, 0.0)
 
     @property
     def has_density(self):
@@ -1149,30 +1099,26 @@ class Conv2(LawSpec):
         of p's cdf or pdf.  The integrals of _FOLD_CHUNK points at a time
         share one integrate call, with the breakpoints of _layout."""
         q_atoms, (lo, hi), slope, offset = self._layout
-        xs = np.asarray(x, dtype=float).reshape(-1)
-        out = np.zeros(xs.size)
+        out = np.zeros(x.size)
         for a, w in q_atoms:
-            out += w * np.asarray(g(xs - a), dtype=float)
+            out += w * g(x - a)
         if self.q.has_density:
-            for i in range(0, xs.size, _FOLD_CHUNK):
-                xc = xs[i:i + _FOLD_CHUNK]
-                v, _ = integrate(lambda y, k: (np.asarray(g(xc[k] - y), dtype=float)
-                                               * np.asarray(self.q.pdf(y), dtype=float)),
+            for i in range(0, x.size, _FOLD_CHUNK):
+                xc = x[i:i + _FOLD_CHUNK]
+                v, _ = integrate(lambda y, k: g(xc[k] - y) * self.q.pdf(y),
                                  np.full(xc.size, lo), np.full(xc.size, hi), self.tol,
                                  breakpoints=xc[:, None] * slope + offset)
                 out[i:i + _FOLD_CHUNK] += v
-        return out.reshape(np.shape(x))
+        return out
 
-    def cdf(self, x):
-        out = np.clip(self._fold(self.p.cdf, x), 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+    def _cdf(self, x):
+        return np.clip(self._fold(self.p.cdf, x), 0.0, 1.0)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, x):
         out = self._fold(self.p.pdf, x)
         for a, w in self.p.atoms():
-            out += w * np.asarray(self.q.pdf(x - a), dtype=float)
-        return float(out) if out.ndim == 0 else out
+            out += w * self.q.pdf(x - a)
+        return out
 
     @property
     def has_density(self):
@@ -1433,19 +1379,13 @@ class SignedMeasure:
         return sum(c for c, _ in self.terms)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = sum(c * np.asarray(law.cdf(x), dtype=float) for c, law in self.terms)
-        return float(out) if np.ndim(out) == 0 else out
+        return on_array(partial(_combine, self.terms, "cdf"), x)
 
     def cdf_left(self, x):
-        x = np.asarray(x, dtype=float)
-        out = sum(c * np.asarray(law.cdf_left(x), dtype=float) for c, law in self.terms)
-        return float(out) if np.ndim(out) == 0 else out
+        return on_array(partial(_combine, self.terms, "cdf_left"), x)
 
     def density(self, x):
-        x = np.asarray(x, dtype=float)
-        out = sum(c * np.asarray(law.pdf(x), dtype=float) for c, law in self.terms)
-        return float(out) if np.ndim(out) == 0 else out
+        return on_array(partial(_combine, self.terms, "pdf"), x)
 
     @property
     def has_density(self):

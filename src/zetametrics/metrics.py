@@ -7,11 +7,11 @@ r = 1..4 via iterated integrated distribution functions
     F_1 = F_M,    F_{k+1}(x) = - integral of F_k over (-inf, x].
 
 Two evaluation engines coexist: a closed-form one for measures whose
-components are atoms, normals, uniforms and their mixtures (then every
-F_k is an explicit formula), and a quadrature one stacking Gauss-Legendre
-panel antiderivatives (numerics.cumulative_integral).  zeta_r integrates
-|F_r| by locating its sign changes and telescoping F_{r+1} across the
-segments.
+components are atoms, normals, uniforms, histograms, positive affine images
+and mixtures of these (then every F_k is an explicit formula), and a
+quadrature one stacking Gauss-Legendre panel antiderivatives
+(numerics.cumulative_integral).  zeta_r integrates |F_r| by locating its
+sign changes and telescoping F_{r+1} across the segments.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .numerics import (DEFAULT_TOL, GridFunction, Tolerance, cumulative_integral,
-                       golden_section, integrate, refine_grid, scan_sign_changes,
-                       sign_roots, std_normal_cdf, std_normal_pdf)
+                       golden_section, integrate, on_array, refine_grid,
+                       scan_sign_changes, sign_roots, std_normal_cdf, std_normal_pdf)
 from .measures import (Affine, Atoms, Dirac, HistogramLaw, InfiniteMomentError,
                        LawSpec, Mixture, Normal, Rounded, SignedMeasure, Uniform,
                        STANDARD_NORMAL, signed_diff, standardise)
@@ -63,8 +63,6 @@ class MetricValue:
 
 def _stack_normal_std(k: int, x: np.ndarray) -> np.ndarray:
     """F_{N,k}(x) for the standard normal, k = 1..5."""
-    # a 0-d x stays an array, so its powers take the ufunc path as for arrays
-    x = np.asarray(x, dtype=float)
     Phi = std_normal_cdf(x)
     phi = std_normal_pdf(x)
     if k == 1:
@@ -81,32 +79,27 @@ def _stack_normal_std(k: int, x: np.ndarray) -> np.ndarray:
 
 
 class _AtomStack:
-    """Prefix-power sums making F_k of an atomic law O(log n) per point."""
+    """x -> F_k(x) of signed atoms, O(log n) per point from the prefix sums
+    of w * loc^m for m < k."""
 
-    def __init__(self, atoms):
+    def __init__(self, atoms, k: int):
         locs = np.array([a for a, _ in atoms])
         wts = np.array([w for _, w in atoms])
-        order = np.argsort(locs)
-        self.locs = locs[order]
+        order = np.argsort(locs, kind="stable")
+        self.k, self.locs = k, locs[order]
         self.prefix = [np.concatenate([[0.0], np.cumsum(wts[order] * self.locs ** m)])
-                       for m in range(5)]
+                       for m in range(k)]
 
-    def eval(self, k: int, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        k = self.k
         idx = np.searchsorted(self.locs, x, side="right")
-        out = np.zeros_like(np.atleast_1d(x).astype(float))
-        xa = np.atleast_1d(x)
-        fact = math.factorial(k - 1)
+        out = np.zeros_like(x)
         for m in range(k):
-            coef = math.comb(k - 1, m)
-            s_m = self.prefix[m][idx]
-            out = out + coef * s_m * (-xa) ** (k - 1 - m)
-        out = out / fact
-        return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
+            out = out + math.comb(k - 1, m) * self.prefix[m][idx] * (-x) ** (k - 1 - m)
+        return out / math.factorial(k - 1)
 
 
 def _stack_uniform(k: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
     fact = math.factorial(k)
     width = b - a
     inside = -np.power(a - x, k) / (fact * width)
@@ -114,96 +107,43 @@ def _stack_uniform(k: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
     return np.where(x <= a, 0.0, np.where(x <= b, inside, beyond))
 
 
-class _CellStack:
-    """Prefix-power sums for a disjoint union of weighted uniform cells.
-
-    Evaluates sum_j w_j F_{U_j,k}(x) in O(log n) per point: cells wholly
-    left of x contribute a polynomial in x through prefix sums of
-    w * edge^m; at most one cell straddles x.
-    """
-
-    def __init__(self, cells):
-        cells = sorted(cells, key=lambda c: c[1])
-        self.w = np.array([w for w, _, _ in cells])
-        self.lo = np.array([lo for _, lo, _ in cells])
-        self.hi = np.array([hi for _, _, hi in cells])
-        self.width = self.hi - self.lo
-        scale = self.w / self.width
-        self.pref_lo = [np.concatenate([[0.0], np.cumsum(scale * self.lo ** m)])
-                        for m in range(6)]
-        self.pref_hi = [np.concatenate([[0.0], np.cumsum(scale * self.hi ** m)])
-                        for m in range(6)]
-
-    def eval(self, k: int, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        xa = np.atleast_1d(x).astype(float)
-        fact = math.factorial(k)
-        done = np.searchsorted(self.hi, xa, side="right")
-        # completed cells: sum (w/width) [(hi - x)^k - (lo - x)^k] / k!
-        # expanded as (e - x)^k = sum_m C(k,m) e^m (-x)^(k-m)
-        out = np.zeros_like(xa)
-        for m in range(k + 1):
-            coef = math.comb(k, m)
-            out += coef * (self.pref_hi[m][done] - self.pref_lo[m][done]) \
-                * (-xa) ** (k - m)
-        out /= fact
-        # straddling cell (at most one: cells are disjoint)
-        j = np.searchsorted(self.lo, xa, side="right") - 1
-        valid = (j >= 0) & (j >= done)
-        jv = np.clip(j, 0, self.lo.size - 1)
-        strad = valid & (xa > self.lo[jv]) & (xa < self.hi[jv])
-        if np.any(strad):
-            js = jv[strad]
-            out[strad] += (self.w[js] / self.width[js]) \
-                * (-((self.lo[js] - xa[strad]) ** k)) / fact
-        return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
-
-
 def closed_stack_evaluator(law: LawSpec, k: int) -> Optional[Callable]:
-    """Vectorized x -> F_{law,k}(x), or None when no closed form exists."""
+    """x -> F_{law,k}(x) on 1-D arrays, or None when no closed form exists."""
     if isinstance(law, Normal):
         mu, s = law.mu_loc, law.sigma
-        return lambda x: s ** (k - 1) * _stack_normal_std(
-            k, (np.asarray(x, dtype=float) - mu) / s)
+        return lambda x: s ** (k - 1) * _stack_normal_std(k, (x - mu) / s)
     if isinstance(law, Uniform):
         return lambda x: _stack_uniform(k, law.a, law.b, x)
     if isinstance(law, (Dirac, Atoms, Rounded)):
-        stack = _AtomStack(law.atoms())
-        return lambda x: stack.eval(k, x)
+        return _AtomStack(law.atoms(), k)
     if isinstance(law, HistogramLaw):
+        # F_k of a uniform cell of mass w on [lo, hi] is F_{k+1} of the atoms
+        # -w/eta at lo and +w/eta at hi; listed cell by cell, so that the stable
+        # sort adds each pair to the prefix sums before the next (more accurate)
+        centers, w = law._cells()
         h = law.eta / 2.0
-        cells = _CellStack([(w, c - h, c + h) for c, w in law._rounded.atoms()])
-        return lambda x: cells.eval(k, x)
+        return _AtomStack(list(zip(np.c_[centers - h, centers + h].ravel(),
+                                   np.c_[-w, w].ravel() / law.eta)), k + 1)
     if isinstance(law, Affine) and law.c > 0:
         base = closed_stack_evaluator(law.base, k)
         if base is None:
             return None
         c, d = law.c, law.d
-        return lambda x: c ** (k - 1) * np.asarray(
-            base((np.asarray(x, dtype=float) - d) / c), dtype=float)
+        return lambda x: c ** (k - 1) * base((x - d) / c)
     if isinstance(law, Mixture):
         subs = [(w, closed_stack_evaluator(part, k)) for w, part in law.parts]
         if any(e is None for _, e in subs):
             return None
-
-        def mix(x, subs=subs):
-            x = np.asarray(x, dtype=float)
-            out = sum(w * np.asarray(e(x), dtype=float) for w, e in subs)
-            return out
-        return mix
+        return lambda x: sum(w * e(x) for w, e in subs)
     return None
 
 
 def closed_measure_stack(M: SignedMeasure, k: int) -> Optional[Callable]:
+    """Vectorized x -> F_{M,k}(x), or None when a term has no closed form."""
     evs = [(c, closed_stack_evaluator(law, k)) for c, law in M.terms]
     if any(e is None for _, e in evs):
         return None
-
-    def total(x, evs=evs):
-        x = np.asarray(x, dtype=float)
-        out = sum(c * np.asarray(e(x), dtype=float) for c, e in evs)
-        return out
-    return total
+    return lambda x: on_array(lambda xs: sum(c * e(xs) for c, e in evs), x)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +168,7 @@ def metric_grid(M: SignedMeasure, n_base: int = 2048,
 
 
 def _measure_grid_function(M: SignedMeasure, grid: np.ndarray) -> GridFunction:
-    return GridFunction(grid, lambda x: np.asarray(M.cdf(x), dtype=float),
+    return GridFunction(grid, M.cdf,
                         left_tail=1e-15 * M.tail_scale())
 
 
@@ -319,7 +259,7 @@ def _telescope(f_k1: Callable, grid: np.ndarray, seg: List[float],
     neighbours and lost twice over, so the loss is at most twice the band
     times the grid width.
     """
-    vals = np.asarray(f_k1(np.array([grid[0]] + seg + [grid[-1]])), dtype=float)
+    vals = f_k1(np.array([grid[0]] + seg + [grid[-1]]))
     return float(np.sum(np.abs(np.diff(vals)))), 2.0 * band * (grid[-1] - grid[0])
 
 
@@ -430,13 +370,12 @@ def kolmogorov(M: SignedMeasure, tol: Tolerance = DEFAULT_TOL,
         return MetricValue(0.0, 0.0, "closed_form")
     grid = metric_grid(M, n_base=n_base)
     dense = refine_grid(grid, 6)
-    vals = np.abs(np.asarray(M.cdf(dense), dtype=float))
+    vals = np.abs(M.cdf(dense))
     best = float(np.max(vals))
     best_x = float(dense[int(np.argmax(vals))])
     atoms = np.array([x for x, _ in M.atoms()])
     if atoms.size:
-        for arr in (np.abs(np.asarray(M.cdf(atoms), dtype=float)),
-                    np.abs(np.asarray(M.cdf_left(atoms), dtype=float))):
+        for arr in (np.abs(M.cdf(atoms)), np.abs(M.cdf_left(atoms))):
             k = int(np.argmax(arr))
             if float(arr[k]) > best:
                 best = float(arr[k])
@@ -491,8 +430,7 @@ def _certified_sign_count(fn: Callable, grid: np.ndarray, count: int,
     the alternations of fn's values on the grid, only if no extra
     alternation shows up (the finer count is returned either way).
     """
-    fine_count, first, _ = scan_sign_changes(
-        np.asarray(fn(refine_grid(grid, 8)), dtype=float), band)
+    fine_count, first, _ = scan_sign_changes(fn(refine_grid(grid, 8)), band)
     return fine_count, first, fine_count == count
 
 
@@ -512,7 +450,7 @@ def zeta3_cut_criterion(P: LawSpec, tol: Tolerance = DEFAULT_TOL
     Pt = standardise(P)
     M = signed_diff(Pt, STANDARD_NORMAL)
     grid = metric_grid(M, n_base=1024)
-    dvals = np.asarray(M.cdf(grid), dtype=float)
+    dvals = M.cdf(grid)
     sup0 = float(np.max(np.abs(dvals)))
     if sup0 < 1e-12:
         return MetricValue(0.0, 1e-12, "cut_criterion",
@@ -534,13 +472,11 @@ def zeta3_cut_criterion(P: LawSpec, tol: Tolerance = DEFAULT_TOL
     # symmetric-density branch: four certified crossings of the density gap
     if symmetric_branch:
         xs = np.linspace(0.1, 6.0, 101)
-        f_pos = np.asarray(Pt.pdf(xs), dtype=float)
-        f_neg = np.asarray(Pt.pdf(-xs), dtype=float)
+        f_pos, f_neg = Pt.pdf(xs), Pt.pdf(-xs)
         sym = float(np.max(np.abs(f_pos - f_neg))) <= 1e-9 * max(1.0, float(np.max(f_pos)))
         if sym:
-            dens = lambda x: (np.asarray(Pt.pdf(x), dtype=float)
-                              - std_normal_pdf(np.asarray(x, dtype=float)))
-            dv = np.asarray(dens(grid), dtype=float)
+            dens = lambda x: Pt.pdf(x) - std_normal_pdf(x)
+            dv = dens(grid)
             dband = 1e-9 * float(np.max(np.abs(dv)) or 1.0)
             cnt, dfirst, cert = _certified_sign_count(
                 dens, grid, scan_sign_changes(dv, dband)[0], dband)

@@ -66,14 +66,23 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def on_array(fn: Callable[[np.ndarray], np.ndarray], x):
+    """fn(x) for fn that takes and returns a 1-D float array: a 1-D x goes
+    straight through, any other array comes back in its shape, and a
+    scalar x gives a float."""
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim == 1:
+        return fn(xs)
+    out = fn(xs.reshape(-1))
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
 
 def std_normal_pdf(x):
-    x = np.asarray(x, dtype=float)
-    out = INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return float(out) if out.ndim == 0 else out
+    return on_array(lambda t: INV_SQRT_2PI * np.exp(-0.5 * t * t), x)
 
 
 _ERFC_UFUNC = np.frompyfunc(math.erfc, 1, 1)
@@ -523,21 +532,20 @@ def cumulative_integral(g: GridFunction, sign: int = 1,
     mid_t, scale = (0.5 * (lo + hi))[order], (np.where(way < 0, -1.0, 1.0) / half)[order]
 
     def h(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
+        out = np.empty(x.size)
         for i in range(0, x.size, _EVAL_CHUNK):
-            xs = x.reshape(-1)[i:i + _EVAL_CHUNK]
+            xs = x[i:i + _EVAL_CHUNK]
             k = np.maximum(np.searchsorted(left, xs, side="right") - 1, 0)
             t = np.where(mapped[k], np.abs(xs - centre[k]) ** (1 / 6), xs) if mapped.any() else xs
             u = (t - mid_t[k]) * scale[k]
             b1 = b2 = 0.0
             for j in range(10, 0, -1):          # Clenshaw for sum_j coef_j P_j(u)
                 b1, b2 = coef[j][k] + (2 * j + 1) / (j + 1) * u * b1 - (j + 1) / (j + 2) * b2, b1
-            out.reshape(-1)[i:i + _EVAL_CHUNK] = np.where(
+            out[i:i + _EVAL_CHUNK] = np.where(
                 xs <= bp[0], 0.0, np.where(xs >= bp[-1], final, coef[0][k] + u * b1 - 0.5 * b2))
-        return float(out) if out.ndim == 0 else out
+        return out
 
-    out = GridFunction(bp, h, left_tail=0.0)
+    out = GridFunction(bp, lambda x: on_array(h, x), left_tail=0.0)
     out.err_est = abs(g.left_tail) + err
     return out
 

@@ -44,9 +44,10 @@ class TestRoundingGaps:
         assert abs(rep.zeta1_rd_hist_quad - 0.3 / 4.0) < 1e-8
 
     def test_gap_formula_independent_of_base(self):
-        for base in (zm.gamma_power(2.0), zm.uniform(-1, 2)):
-            rep = rounding_gaps(base, 0.5)
-            assert abs(rep.zeta1_rd_hist_quad - 0.5 / 4.0) < 1e-8
+        for base, eta in ((zm.normal(), 0.3), (zm.normal(), 0.1), (zm.gamma_power(2.0), 0.5),
+                          (zm.uniform(-1, 2), 0.5), (zm.gamma_power(4.0), 0.25)):
+            rep = rounding_gaps(base, eta)
+            assert abs(rep.zeta1_rd_hist_quad - eta / 4.0) <= 1e-12, (base, eta)
 
     def test_rounding_gap_first_order(self):
         rep = rounding_gaps(zm.normal(), 0.01)
