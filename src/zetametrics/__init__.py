@@ -7,7 +7,7 @@ for a family of Berry-Esseen type error bounds in terms of these
 distances.
 """
 
-from .numerics import (Tolerance, DEFAULT_TOL, GridFunction, integrate,
+from .numerics import (Tolerance, DEFAULT_TOL, integrate,
                        cumulative_integral, std_normal_cdf, std_normal_pdf,
                        std_normal_quantile, reg_incomplete_gamma)
 from .measures import (LawSpec, SignedMeasure, MomentTable, Atoms, Bernoulli,
@@ -20,8 +20,7 @@ from .measures import (LawSpec, SignedMeasure, MomentTable, Atoms, Bernoulli,
                        mixture, moments, normal, reflect, rounded, signed_diff,
                        standardise, subbotin, truncate, Truncated, uniform,
                        STANDARD_NORMAL)
-from .metrics import (MetricValue, ZetaStack, build_zeta_stack, kappa_r,
-                      kolmogorov, lambda_1, nu_r_signed, zeta3_cut_criterion,
+from .metrics import (MetricValue, kappa_r, kolmogorov, lambda_1, nu_r_signed, zeta3_cut_criterion,
                       zeta_r)
 from .convolve import (LatticeWeights, clt_lhs, convolution_inequality_check, convolve_atomic,
                        lattice_of, power_lattice, wasserstein_lattice_vs_normal)

@@ -217,15 +217,10 @@ class Atoms(LawSpec):
     family = "atoms"
 
     def __init__(self, points: Sequence[Tuple[float, float]]):
-        pts = sorted((float(x), float(w)) for x, w in points if w != 0.0)
-        merged: List[List[float]] = []
-        for x, w in pts:
-            if w < 0:
-                raise DomainError("atom weights must be >= 0")
-            if merged and abs(x - merged[-1][0]) <= ATOM_MERGE_RTOL * max(1.0, abs(x)):
-                merged[-1][1] += w
-            else:
-                merged.append([x, w])
+        pts = [(float(x), float(w)) for x, w in points if w != 0.0]
+        if any(w < 0 for _, w in pts):
+            raise DomainError("atom weights must be >= 0")
+        merged = merge_atoms(pts)
         total = sum(w for _, w in merged)
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"atom weights must sum to 1, got {total}")
@@ -682,6 +677,11 @@ def _combine(parts: Sequence[Tuple[float, LawSpec]], name: str, x: np.ndarray) -
     return out
 
 
+def _union(parts, name):
+    """Sorted distinct values of law.<name>() over the (weight, law) parts."""
+    return sorted({x for _, law in parts for x in getattr(law, name)()})
+
+
 class Mixture(LawSpec):
     family = "mixture"
 
@@ -713,16 +713,10 @@ class Mixture(LawSpec):
                             for x, w in law.atoms()], rtol=0.0)
 
     def density_breakpoints(self):
-        out: List[float] = []
-        for _, law in self.parts:
-            out.extend(law.density_breakpoints())
-        return sorted(set(out))
+        return _union(self.parts, "density_breakpoints")
 
     def density_singularities(self):
-        out: List[float] = []
-        for _, law in self.parts:
-            out.extend(law.density_singularities())
-        return sorted(set(out))
+        return _union(self.parts, "density_singularities")
 
     def support(self, eps=SUPPORT_EPS):
         los, his = zip(*(law.support(min(1.0 if w == 0 else eps / w, 0.4))
@@ -1399,16 +1393,10 @@ class SignedMeasure:
                             for x, w in law.atoms()], rtol=0.0)
 
     def density_breakpoints(self) -> List[float]:
-        out: List[float] = []
-        for _, law in self.terms:
-            out.extend(law.density_breakpoints())
-        return sorted(set(out))
+        return _union(self.terms, "density_breakpoints")
 
     def density_singularities(self) -> List[float]:
-        out: List[float] = []
-        for _, law in self.terms:
-            out.extend(law.density_singularities())
-        return sorted(set(out))
+        return _union(self.terms, "density_singularities")
 
     def support(self, eps: float = SUPPORT_EPS) -> Tuple[float, float]:
         los, his = [], []

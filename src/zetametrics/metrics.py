@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .numerics import (DEFAULT_TOL, GridFunction, Tolerance, cumulative_integral,
+from .numerics import (DEFAULT_TOL, Tolerance, cumulative_integral,
                        golden_section, integrate, on_array, refine_grid,
                        scan_sign_changes, sign_roots, std_normal_cdf, std_normal_pdf)
 from .measures import (Affine, Atoms, Dirac, HistogramLaw, InfiniteMomentError,
@@ -167,11 +167,6 @@ def metric_grid(M: SignedMeasure, n_base: int = 2048,
     return grid[keep]
 
 
-def _measure_grid_function(M: SignedMeasure, grid: np.ndarray) -> GridFunction:
-    return GridFunction(grid, M.cdf,
-                        left_tail=1e-15 * M.tail_scale())
-
-
 # ---------------------------------------------------------------------------
 # moment preconditions
 # ---------------------------------------------------------------------------
@@ -189,56 +184,49 @@ def check_vanishing_moments(M: SignedMeasure, upto: int):
 
 
 # ---------------------------------------------------------------------------
-# zeta stacks
+# integrated distribution functions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ZetaStack:
-    r: int
-    levels: List[Callable]               # index k-1 -> vectorized F_k
-    grid: np.ndarray
-    engine: str                          # "closed" | "quadrature"
-    err_est: float
-    endpoint_decay: Tuple[float, float] = (0.0, 0.0)
+def _integrated_cdfs(M: SignedMeasure, grid: np.ndarray, depth: int, tol: Tolerance,
+                     engine: str) -> Tuple[List[Callable], float, str]:
+    """(levels, err_est, method): the vectorized F_1 .. F_depth of M.
 
-    def F(self, k: int) -> Callable:
-        return self.levels[k - 1]
-
-
-def build_zeta_stack(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
-                     engine: str = "auto", depth: Optional[int] = None) -> ZetaStack:
-    """Stack F_1 .. F_depth (default r+1) with vanishing-moment checks."""
-    if r not in (1, 2, 3, 4):
-        raise MetricError("zeta order r must be 1..4")
-    depth = depth or (r + 1)
-    check_vanishing_moments(M, r - 1)
-    grid = metric_grid(M)
+    With engine "auto" or "closed" they are the closed forms when every
+    term of M has one (method "closed_form", err_est a rounding allowance
+    of 1e-14 * max(1, nu_0 of M)); otherwise, or with engine "quadrature",
+    F_1 = M.cdf and each further level is the cumulative_integral of the
+    one before on ``grid`` (method "quadrature", err_est the summed bounds
+    of the levels).  Raises MetricError for engine "closed" when a term
+    has no closed form, and for any other engine name.
+    """
+    if engine not in ("auto", "closed", "quadrature"):
+        raise MetricError(f"engine must be 'auto', 'closed' or 'quadrature', got {engine!r}")
     closed = [closed_measure_stack(M, k) for k in range(1, depth + 1)] \
-        if engine in ("auto", "closed") else [None]
+        if engine != "quadrature" else [None]
     if all(c is not None for c in closed):
-        levels, kind, err = closed, "closed", 1e-14 * max(1.0, M.nu_upper(0))
-    elif engine == "closed":
+        return closed, 1e-14 * max(1.0, M.nu_upper(0)), "closed_form"
+    if engine == "closed":
         raise MetricError("closed-form stack unavailable for this measure")
-    else:
-        cur = _measure_grid_function(M, grid)
-        levels, kind, err = [cur.fn], "quadrature", 0.0
-        for _ in range(depth - 1):
-            cur = cumulative_integral(cur, sign=-1, tol=tol)
-            err += cur.err_est
-            levels.append(cur.fn)
-    f_r = levels[r - 1]
-    return ZetaStack(r, levels, grid, kind, err,
-                     endpoint_decay=(abs(float(f_r(grid[0]))), abs(float(f_r(grid[-1])))))
+    levels, err, tail = [M.cdf], 0.0, 1e-15 * M.tail_scale()
+    for _ in range(depth - 1):
+        h, h_err = cumulative_integral(levels[-1], grid, tail, sign=-1, tol=tol)
+        levels.append(h)
+        err += h_err
+        tail = 0.0
+    return levels, err, "quadrature"
 
 
 def _segment_points(M: SignedMeasure, fn: Callable,
                     grid: np.ndarray) -> Tuple[List[float], float]:
     """(points, band): the sign changes of fn (6 samples per grid panel)
     and the atoms of M strictly inside the grid, sorted, and the zero band
-    of the sign scan."""
-    roots, band = sign_roots(fn, refine_grid(grid, 6))
-    pts = set(roots) | {x for x, _ in M.atoms() if grid[0] < x < grid[-1]}
-    return sorted(pts), band
+    of the sign scan.  fn is also sampled one float below each atom, where
+    F_M takes its left limit: a lobe that ends at an atom is not merged
+    into its neighbour."""
+    atoms = [x for x, _ in M.atoms() if grid[0] < x < grid[-1]]
+    xs = np.union1d(refine_grid(grid, 6), np.nextafter(atoms, -np.inf))
+    roots, band = sign_roots(fn, xs)
+    return sorted(set(roots) | set(atoms)), band
 
 
 def _panel_points(M: SignedMeasure, grid: np.ndarray, seg: List[float]) -> List[float]:
@@ -271,14 +259,18 @@ def zeta_r(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
         out = kappa_r(M, 1.0, tol, engine=engine)
         out.certificate = (out.certificate or {}) | {"delegated": "kappa_1"}
         return out
-    stack = build_zeta_stack(M, r, tol, engine=engine, depth=r + 1)
-    seg, band = _segment_points(M, stack.F(r), stack.grid)
-    total, loss = _telescope(stack.F(r + 1), stack.grid, seg, band)
-    err = stack.err_est + loss + max(stack.endpoint_decay) * (stack.grid[-1] - stack.grid[0]) * 1e-3
-    method = "closed_form" if stack.engine == "closed" else "quadrature"
+    if r not in (2, 3, 4):
+        raise MetricError("zeta order r must be 1..4")
+    check_vanishing_moments(M, r - 1)
+    grid = metric_grid(M)
+    levels, err, method = _integrated_cdfs(M, grid, r + 1, tol, engine)
+    f_r = levels[r - 1]
+    decay = (abs(float(f_r(grid[0]))), abs(float(f_r(grid[-1]))))
+    seg, band = _segment_points(M, f_r, grid)
+    total, loss = _telescope(levels[r], grid, seg, band)
+    err = err + loss + max(decay) * (grid[-1] - grid[0]) * 1e-3
     return MetricValue(total, err + 1e-12 * max(1.0, total), method,
-                       certificate={"segments": len(seg),
-                                    "endpoint_decay": stack.endpoint_decay})
+                       certificate={"segments": len(seg), "endpoint_decay": decay})
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +303,14 @@ def kappa_r(M: SignedMeasure, r: Union[float, Sequence[float]],
     except InfiniteMomentError as exc:
         raise MetricError(f"kappa_{top} diverges: {exc}") from exc
     grid = metric_grid(M)
-    f1 = closed_measure_stack(M, 1) if engine in ("auto", "closed") else None
-    method = "quadrature" if f1 is None else "closed_form"
-    if f1 is None:
-        g = _measure_grid_function(M, grid)
-        f1 = g.fn
+    levels, cum_err, method = _integrated_cdfs(M, grid, 2 if 1.0 in orders else 1, tol, engine)
+    f1 = levels[0]
     seg, band = _segment_points(M, f1, grid)
     values = [None] * len(orders)
     if 1.0 in orders:
-        if method == "quadrature":
-            cum = cumulative_integral(g, sign=-1, tol=tol)
-            f2, cum_err = cum.fn, cum.err_est
-        else:
-            f2, cum_err = closed_measure_stack(M, 2), 0.0
-        total, loss = _telescope(f2, grid, seg, band)
+        total, loss = _telescope(levels[1], grid, seg, band)
+        if method == "closed_form":         # its rounding is inside the 1e-13 below
+            cum_err = 0.0
         for i, q in enumerate(orders):
             if q == 1.0:
                 values[i] = total, loss + cum_err + 1e-11 * max(1.0, total) + 1e-13

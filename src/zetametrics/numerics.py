@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,10 +39,6 @@ class ConvergenceError(NumericsError):
         super().__init__(msg)
         self.value = value
         self.err_est = err_est
-
-
-class TailBoundMissingError(NumericsError):
-    """Cumulative integration from -inf needs a declared tail bound."""
 
 
 @dataclass(frozen=True)
@@ -265,9 +261,11 @@ def integrate(f: Callable, a, b, tol: Tolerance = DEFAULT_TOL,
     milder than |x - s|^(-5/6); a panel next to one, or next to an end
     where f is not finite, is integrated in t with x = s +- t^6 (and not
     probed at its centre).
-    Returns (value, err_est); raises ConvergenceError when a panel estimate
-    is not finite, or when an integral's node budget runs out before its
-    err_est is within max(abs_tol, rel_tol * |value|).
+    Returns (value, err_est); err_est bounds the error only when every jump
+    of f is a declared breakpoint (an undeclared jump can leave the value
+    further off).  Raises ConvergenceError when a panel estimate is not
+    finite, or when an integral's node budget runs out before its err_est
+    is within max(abs_tol, rel_tol * |value|).
     """
     return _gl_panels(f, a, b, tol, breakpoints, singularities)[:2]
 
@@ -463,56 +461,34 @@ def find_root(f: Callable, a, b, tol: float = 1e-14, max_iter: int = 200):
 
 
 # ---------------------------------------------------------------------------
-# grid functions and cumulative integration
+# cumulative integration
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GridFunction:
-    """Vectorized ``fn`` on a strictly increasing breakpoint grid: the first
-    quadrature panel ends, where fn may jump or kink.  ``left_tail`` bounds
-    |integral of fn over (-inf, x0]| for cumulative_integral, whose result
-    also carries ``err_est``, a bound on its error at every panel end (it
-    raises ConvergenceError rather than cap its refinement).
-    """
-
-    breakpoints: np.ndarray
-    fn: Callable[[np.ndarray], np.ndarray]
-    left_tail: Optional[float] = None
-
-    def __post_init__(self):
-        self.breakpoints = np.asarray(self.breakpoints, dtype=float)
-        if self.breakpoints.size < 2:
-            raise DomainError("GridFunction needs at least 2 breakpoints")
-        if np.any(np.diff(self.breakpoints) <= 0):
-            raise DomainError("breakpoints must be strictly increasing")
-
-    def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
-
 
 _EVAL_CHUNK = 4096            # points per evaluation step: bounds the working arrays
 
 
-def cumulative_integral(g: GridFunction, sign: int = 1,
-                        tol: Tolerance = DEFAULT_TOL) -> GridFunction:
-    """GridFunction h with h(x) = sign * integral of g over (-inf, x].
+def cumulative_integral(fn: Callable, breakpoints, left_tail: float, sign: int = 1,
+                        tol: Tolerance = DEFAULT_TOL) -> Tuple[Callable, float]:
+    """(h, err_est) with h(x) = sign * integral of the vectorized fn over
+    (-inf, x].
 
-    One run of integrate's adaptive loop over the grid.  On each accepted
-    half panel h is the running sum of the panel estimates to its left end
-    plus the antiderivative of the degree-9 interpolant of its 10 node
-    values (by _GL_ANTI), so h agrees with integrate at panel ends; it is 0
-    below the grid and the total above, evaluated _EVAL_CHUNK points at a
-    time.  g.left_tail must be declared (0.0 when the grid covers the
-    support).  h.err_est, |g.left_tail| plus the summed panel
+    ``breakpoints``, at least 2 and strictly increasing, are the first
+    quadrature panel ends, where fn may jump or kink.  ``left_tail`` bounds
+    |integral of fn over (-inf, breakpoints[0]]| (0.0 when the grid covers
+    the support).  One run of integrate's adaptive loop over the grid.  On
+    each accepted half panel h is the running sum of the panel estimates
+    to its left end plus the antiderivative of the degree-9 interpolant of
+    its 10 node values (by _GL_ANTI), so h agrees with integrate at panel
+    ends; it is 0 below the grid and the total above, evaluated
+    _EVAL_CHUNK points at a time, and takes scalars and arrays as
+    on_array does.  err_est, |left_tail| plus the summed panel
     disagreements, bounds the error of h at every panel end.  Raises
     ConvergenceError where integrate does, instead of missing tol.
     """
-    if g.left_tail is None:
-        raise TailBoundMissingError(
-            "cumulative_integral needs g.left_tail (declared bound on the "
-            "mass of g below the grid)")
-    bp = g.breakpoints
-    _, err, rounds = _gl_panels(g.fn, bp[0], bp[-1], tol, bp, ())
+    bp = np.asarray(breakpoints, dtype=float)
+    if bp.size < 2 or np.any(np.diff(bp) <= 0):
+        raise DomainError("cumulative_integral needs at least 2 strictly increasing breakpoints")
+    _, err, rounds = _gl_panels(fn, bp[0], bp[-1], tol, bp, ())
     lo, mid, hi, centre, way, vals = (np.concatenate(col) for col in zip(*(
         (lo[d], mid[d], hi[d], c[d], s[d], v[d]) for lo, mid, hi, c, s, v, d in rounds)))
     # the two halves of every accepted panel; one with x = centre - t^6
@@ -545,9 +521,7 @@ def cumulative_integral(g: GridFunction, sign: int = 1,
                 xs <= bp[0], 0.0, np.where(xs >= bp[-1], final, coef[0][k] + u * b1 - 0.5 * b2))
         return out
 
-    out = GridFunction(bp, lambda x: on_array(h, x), left_tail=0.0)
-    out.err_est = abs(g.left_tail) + err
-    return out
+    return (lambda x: on_array(h, x)), abs(left_tail) + err
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,16 @@ class TestWassersteinLattice:
                        1.0).value
         assert abs(v - k) < 1e-12
 
+    def test_lobe_ending_at_an_atom(self):
+        # a random lattice law of the benchmark corpus (seed 8): F_M changes
+        # sign just left of an atom, which a scan sampling F_M only at the
+        # atom's right value merges into the neighbouring lobe
+        P = zm.atoms_law([(0.0, 0.2710930016226632), (0.5, 0.1627878027831701),
+                          (1.0, 0.06563403814873614), (1.5, 0.5004851574454304)])
+        v = zm.wasserstein_lattice_vs_normal(zm.lattice_of(P), P.mean, P.std)
+        k = zm.kappa_r(zm.signed_diff(zm.standardise(P), zm.STANDARD_NORMAL), 1.0)
+        assert abs(k.value - v) <= k.err_est
+
     def test_power_consistency(self):
         B = zm.bernoulli(0.3)
         L16 = zm.power_lattice(zm.lattice_of(B), 16)

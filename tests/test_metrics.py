@@ -8,8 +8,8 @@ import pytest
 
 import zetametrics as zm
 from zetametrics.metrics import (MassNotZeroError, MetricError, MomentConditionError,
-                                 _segment_points, _telescope, closed_measure_stack)
-from zetametrics.numerics import GridFunction
+                                 _integrated_cdfs, _segment_points, _telescope,
+                                 closed_measure_stack, metric_grid)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 SQRT3 = math.sqrt(3.0)
@@ -84,17 +84,27 @@ class TestKappa:
         from zetametrics import metrics
         M = btilde_minus_N()
         v = zm.kappa_r(M, 1.0, engine="quadrature")
-        g = metrics._measure_grid_function(M, metrics.metric_grid(M))
-        cum = zm.cumulative_integral(g, sign=-1)
-        assert v.err_est >= cum.err_est
+        _, cum_err, _ = _integrated_cdfs(M, metric_grid(M), 2, zm.DEFAULT_TOL, "quadrature")
+        assert v.err_est >= cum_err
         assert v.err_est >= abs(v.value - zm.kappa_r(M, 1.0, engine="closed").value)
         # here the cumulative's error is tiny; a large one must show too
         def loose(*args, **kw):
-            out = zm.cumulative_integral(*args, **kw)
-            out.err_est = 1e-3
-            return out
+            h, _ = zm.cumulative_integral(*args, **kw)
+            return h, 1e-3
         monkeypatch.setattr(metrics, "cumulative_integral", loose)
         assert zm.kappa_r(M, 1.0, engine="quadrature").err_est >= 1e-3
+
+    def test_engine_names(self):
+        # a closed engine without a closed stack, and an unknown engine, raise
+        # instead of falling back to quadrature
+        M = zm.signed_diff(zm.standardise(zm.gamma_power(3.0)), zm.STANDARD_NORMAL)
+        with pytest.raises(MetricError, match="closed-form stack unavailable"):
+            zm.kappa_r(M, 1.0, engine="closed")
+        for metric in (lambda: zm.kappa_r(M, 1.0, engine="bogus"),
+                       lambda: zm.zeta_r(M, 1, engine="bogus"),
+                       lambda: zm.zeta_r(M, 3, engine="bogus")):
+            with pytest.raises(MetricError, match="bogus"):
+                metric()
 
     @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
     def test_zolotarev_formula(self, r):
@@ -189,31 +199,30 @@ class TestLambda1:
 class TestZetaStack:
     def test_null_measure(self):
         M = zm.signed_diff(zm.normal(), zm.normal())
-        st = zm.build_zeta_stack(M, 3)
+        levels, _, _ = _integrated_cdfs(M, metric_grid(M), 3, zm.DEFAULT_TOL, "auto")
         xs = np.linspace(-5, 5, 33)
-        for k in (1, 2, 3):
-            assert np.max(np.abs(st.F(k)(xs))) < 1e-13
+        for F in levels:
+            assert np.max(np.abs(F(xs))) < 1e-13
 
     def test_bernoulli_moment_conditions_hold(self):
-        st = zm.build_zeta_stack(btilde_minus_N(), 3)
-        assert st.r == 3
+        assert zm.zeta_r(btilde_minus_N(), 3).method == "closed_form"
 
     def test_gamma_endpoint_decay(self):
         M = zm.signed_diff(zm.standardise(zm.gamma_power(4.0)), zm.STANDARD_NORMAL)
-        st = zm.build_zeta_stack(M, 3, engine="quadrature")
-        assert max(st.endpoint_decay) <= 1e-8
+        v = zm.zeta_r(M, 3, engine="quadrature")
+        assert max(v.certificate["endpoint_decay"]) <= 1e-8
 
     def test_moment_violation_names_first_j(self):
         # standardised Bernoulli(0.3) has mu_3 != 0, so zeta_4 must refuse
         M = btilde_minus_N(0.3)
         with pytest.raises(MomentConditionError) as ei:
-            zm.build_zeta_stack(M, 4)
+            zm.zeta_r(M, 4)
         assert ei.value.j == 3
 
     def test_mass_violation_names_j0(self):
         M = zm.SignedMeasure([(1.0, zm.normal()), (-0.5, zm.normal(0, 2))])
         with pytest.raises(MomentConditionError) as ei:
-            zm.build_zeta_stack(M, 1)
+            zm.zeta_r(M, 2)
         assert ei.value.j == 0
 
 
@@ -539,9 +548,10 @@ class TestScalarEvaluation:
             assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
     def test_quadrature_grid_function(self):
-        st = zm.build_zeta_stack(btilde_minus_N(), 3, engine="quadrature")
-        assert st.engine == "quadrature"
-        for k in (1, 2, 3, 4):
-            assert_scalar_matches_array(st.F(k))
-        g = GridFunction(np.linspace(-5, 5, 41), zm.std_normal_pdf, left_tail=0.0)
-        assert_scalar_matches_array(zm.cumulative_integral(g))
+        M = btilde_minus_N()
+        levels, _, method = _integrated_cdfs(M, metric_grid(M), 4, zm.DEFAULT_TOL, "quadrature")
+        assert method == "quadrature"
+        for F in levels:
+            assert_scalar_matches_array(F)
+        h, _ = zm.cumulative_integral(zm.std_normal_pdf, np.linspace(-5, 5, 41), 0.0)
+        assert_scalar_matches_array(h)

@@ -220,31 +220,25 @@ class TestIntegrateBatch:
 
 
 class TestCumulativeIntegral:
-    def grid_fn(self, fn, lo, hi, n=64, **kw):
-        return nm.GridFunction(np.linspace(lo, hi, n), fn, left_tail=0.0, **kw)
-
     def test_zero_stays_zero(self):
-        g = self.grid_fn(lambda x: np.zeros_like(x), -2, 2)
-        h = nm.cumulative_integral(g)
+        h, _ = nm.cumulative_integral(lambda x: np.zeros_like(x), np.linspace(-2, 2, 64), 0.0)
         xs = np.linspace(-2, 2, 100)
         assert np.max(np.abs(h(xs))) == 0.0
 
     def test_phi_integrates_to_Phi(self):
-        g = nm.GridFunction(np.linspace(-10, 10, 201),
-                            lambda x: nm.std_normal_pdf(x), left_tail=1e-23)
-        h = nm.cumulative_integral(g, sign=1, tol=nm.Tolerance(1e-12, 1e-10))
+        h, _ = nm.cumulative_integral(lambda x: nm.std_normal_pdf(x), np.linspace(-10, 10, 201),
+                                      1e-23, sign=1, tol=nm.Tolerance(1e-12, 1e-10))
         xs = np.linspace(-9.5, 9.5, 777)
         assert np.max(np.abs(h(xs) - nm.std_normal_cdf(xs))) < 1e-9
 
     def test_differentiation_recovers_integrand(self):
-        g = nm.GridFunction(np.linspace(-6, 6, 121),
-                            lambda x: np.exp(-0.5 * x * x) * np.cos(x),
-                            left_tail=1e-8)
-        h = nm.cumulative_integral(g, tol=nm.Tolerance(1e-12, 1e-10))
+        fn = lambda x: np.exp(-0.5 * x * x) * np.cos(x)
+        h, _ = nm.cumulative_integral(fn, np.linspace(-6, 6, 121), 1e-8,
+                                      tol=nm.Tolerance(1e-12, 1e-10))
         d = 1e-5
         for x in np.linspace(-4, 4, 17):
             deriv = (h(x + d) - h(x - d)) / (2 * d)
-            assert abs(deriv - float(g(np.array([x]))[0])) < 1e-6
+            assert abs(deriv - float(fn(np.array([x]))[0])) < 1e-6
 
     def test_bernoulli_gap_second_level_decays(self):
         # F_2 of B~_1/2 - N vanishes at both grid ends: the first two
@@ -252,49 +246,48 @@ class TestCumulativeIntegral:
         import zetametrics as zm
         M = zm.signed_diff(zm.standardise(zm.bernoulli(0.5)), zm.STANDARD_NORMAL)
         grid = np.unique(np.concatenate([np.linspace(-10, 10, 801), [-1.0, 1.0]]))
-        g = nm.GridFunction(grid, lambda x: np.asarray(M.cdf(x), dtype=float),
-                            left_tail=1e-20)
-        h = nm.cumulative_integral(g, sign=-1, tol=nm.Tolerance(1e-11, 1e-9))
+        h, _ = nm.cumulative_integral(lambda x: np.asarray(M.cdf(x), dtype=float), grid,
+                                      1e-20, sign=-1, tol=nm.Tolerance(1e-11, 1e-9))
         assert abs(float(h(-10.0))) < 1e-9
         assert abs(float(h(10.0))) < 1e-9
 
-    def test_missing_tail_bound_raises(self):
-        g = nm.GridFunction(np.linspace(0, 1, 8), lambda x: x)
-        with pytest.raises(nm.TailBoundMissingError):
-            nm.cumulative_integral(g)
-
     def test_sign_flag(self):
-        g = self.grid_fn(lambda x: np.ones_like(x), 0, 1, n=16)
-        h = nm.cumulative_integral(g, sign=-1)
+        h, _ = nm.cumulative_integral(lambda x: np.ones_like(x), np.linspace(0, 1, 16), 0.0,
+                                      sign=-1)
         assert abs(float(h(1.0)) + 1.0) < 1e-12
 
     def test_breakpoints_match_integrate(self):
-        g = nm.GridFunction(np.linspace(-6, 6, 25),
-                            lambda x: np.exp(-0.5 * x * x) * np.cos(3 * x), left_tail=0.0)
-        h = nm.cumulative_integral(g)
-        bp = g.breakpoints
-        want = [nm.integrate(g.fn, bp[0], x)[0] for x in bp]
+        fn = lambda x: np.exp(-0.5 * x * x) * np.cos(3 * x)
+        bp = np.linspace(-6, 6, 25)
+        h, _ = nm.cumulative_integral(fn, bp, 0.0)
+        want = [nm.integrate(fn, bp[0], x)[0] for x in bp]
         assert np.max(np.abs(h(bp) - want)) < 1e-13
         # continuous across every panel end, the breakpoints and the ends
         # the adaptive loop added between them
         ends, d = nm.refine_grid(bp, 64), 1e-7
-        assert np.max(np.abs(h(ends + d) - h(ends - d) - 2 * d * g(ends))) < 1e-14
+        assert np.max(np.abs(h(ends + d) - h(ends - d) - 2 * d * fn(ends))) < 1e-14
 
     def test_pole_at_grid_point(self):
         # |x|^(-1/2) is infinite at the grid point 0: the panels next to it
         # go through x = t^6, as in integrate
         with np.errstate(divide="ignore"):
-            g = self.grid_fn(lambda x: np.abs(x) ** -0.5, -1, 1, n=9)
-            h = nm.cumulative_integral(g)
+            h, _ = nm.cumulative_integral(lambda x: np.abs(x) ** -0.5, np.linspace(-1, 1, 9), 0.0)
         assert abs(float(h(1.0)) - 4.0) < 1e-12
         xs = np.array([-0.7, -0.01, 0.0, 0.3, 0.999])
         exact = 2.0 + 2.0 * np.sign(xs) * np.sqrt(np.abs(xs))
         assert np.max(np.abs(h(xs) - exact)) < 1e-10
 
     def test_undeclared_pole_raises(self):
-        g = self.grid_fn(lambda x: 1.0 / x, 0, 1, n=8)
         with np.errstate(all="ignore"), pytest.raises(nm.ConvergenceError):
-            nm.cumulative_integral(g)
+            nm.cumulative_integral(lambda x: 1.0 / x, np.linspace(0, 1, 8), 0.0)
+
+    def test_needs_two_breakpoints(self):
+        with pytest.raises(nm.DomainError):
+            nm.cumulative_integral(lambda x: x, np.array([1.0]), 0.0)
+
+    def test_needs_increasing_breakpoints(self):
+        with pytest.raises(nm.DomainError):
+            nm.cumulative_integral(lambda x: x, np.array([0.0, 0.0, 1.0]), 0.0)
 
     def test_antiderivative_matrix(self):
         # regenerated from numpy's Legendre tools: node values -> Legendre
@@ -363,16 +356,6 @@ class TestSignChanges:
     def test_refine_grid_adds_interior_points(self):
         out = nm.refine_grid(np.array([0.0, 1.0, 3.0]), 4)
         assert out.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]
-
-
-class TestGridFunction:
-    def test_needs_two_points(self):
-        with pytest.raises(nm.DomainError):
-            nm.GridFunction(np.array([1.0]), lambda x: x)
-
-    def test_needs_increasing_breakpoints(self):
-        with pytest.raises(nm.DomainError):
-            nm.GridFunction(np.array([0.0, 0.0, 1.0]), lambda x: x)
 
 
 class TestFindRoot:

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import zetametrics as zm
 from zetametrics import numerics as nm
-from zetametrics.metrics import _certified_sign_count, metric_grid
+from zetametrics.metrics import _certified_sign_count, _integrated_cdfs, metric_grid
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -122,13 +122,14 @@ def assert_batched_roots_match(M, r, levels):
     """Batched roots of the levels F_k of the zeta_r stack of M equal those
     of one-bracket find_root calls and of the reference loop, on the points
     that zeta_r and kappa_1 scan; returns how many roots were compared."""
-    stack = zm.build_zeta_stack(M, r)
-    xs = nm.refine_grid(stack.grid, 6)
+    grid = metric_grid(M)
+    stack, _, _ = _integrated_cdfs(M, grid, r + 1, zm.DEFAULT_TOL, "auto")
+    xs = nm.refine_grid(grid, 6)
     count = 0
     for k in levels:
-        roots, _ = nm.sign_roots(stack.F(k), xs)
-        assert roots == one_bracket_roots(stack.F(k), xs, nm.find_root)
-        assert roots == one_bracket_roots(stack.F(k), xs, scalar_find_root)
+        roots, _ = nm.sign_roots(stack[k - 1], xs)
+        assert roots == one_bracket_roots(stack[k - 1], xs, nm.find_root)
+        assert roots == one_bracket_roots(stack[k - 1], xs, scalar_find_root)
         count += len(roots)
     return count
 
