@@ -10,14 +10,14 @@ distances.
 from .numerics import (Tolerance, DEFAULT_TOL, integrate,
                        cumulative_integral, std_normal_cdf, std_normal_pdf,
                        std_normal_quantile, reg_incomplete_gamma)
-from .measures import (LawSpec, SignedMeasure, MomentTable, Atoms, Bernoulli,
+from .measures import (LawSpec, SignedMeasure, Atoms, Bernoulli,
                        Dirac, GammaPower, HistogramLaw, Lattice, Mixture,
                        Normal, Rounded, SubbotinLaw, TruncatedNormalLeft,
                        Uniform, WinsorisedNormalLeft, affine, atoms_law,
                        bernoulli, centre, conv2_law, convolve_signed, dirac,
                        gamma_power, histogram, law_from_dict, lattice_span,
                        truncated_normal_left, winsorised_normal_left,
-                       mixture, moments, normal, reflect, rounded, signed_diff,
+                       mixture, normal, reflect, rounded, signed_diff,
                        standardise, subbotin, truncate, Truncated, uniform,
                        STANDARD_NORMAL)
 from .metrics import (MetricValue, kappa_r, kolmogorov, lambda_1, nu_r_signed, zeta3_cut_criterion,

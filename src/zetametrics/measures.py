@@ -7,14 +7,15 @@ Subbotin) plus structural nodes (mixture, affine image, rounding,
 histogram, two-fold convolution).  Every law exposes exact CDF / left
 CDF evaluation, its atom list and continuous density, moments, and an
 effective support window.  ``SignedMeasure`` is a finite real linear
-combination of laws.
+combination of laws and a ``LawSpec`` itself; ``Mixture`` is the signed
+measure whose coefficients are probability weights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partialmethod
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,6 +75,15 @@ def normal_abs_window_moment(r: int, a: float, b: float) -> float:
 
 
 # -- base class ---------------------------------------------------------------
+
+def _frozen(v):
+    """A to_dict() value with its dicts and lists turned into tuples."""
+    if isinstance(v, dict):
+        return tuple(sorted((k, _frozen(x)) for k, x in v.items()))
+    if isinstance(v, list):
+        return tuple(_frozen(x) for x in v)
+    return v
+
 
 class LawSpec:
     """Abstract probability law.  Subclasses are immutable value objects.
@@ -168,7 +178,8 @@ class LawSpec:
         return isinstance(other, LawSpec) and self.to_dict() == other.to_dict()
 
     def __hash__(self):
-        return hash(repr(self.to_dict()))
+        # equal to_dict() values hash alike (1 == 1.0), unlike their reprs
+        return hash(_frozen(self.to_dict()))
 
     def _moment_quad(self, k: int, absolute: bool, tol: Tolerance = DEFAULT_TOL) -> float:
         lo, hi = self.support(1e-16)
@@ -669,20 +680,69 @@ def subbotin(beta: float, scale: float = 1.0) -> LawSpec:
 
 # -- structural nodes ---------------------------------------------------------
 
-def _combine(parts: Sequence[Tuple[float, LawSpec]], name: str, x: np.ndarray) -> np.ndarray:
-    """sum of c * law.<name>(x) over the (c, law) pairs, on a 1-D array x."""
-    out = np.zeros_like(x)
-    for c, law in parts:
-        out += c * getattr(law, name)(x)
-    return out
+class SignedMeasure(LawSpec):
+    """Finite linear combination sum_i coef_i * law_i.  Its cdf, left cdf,
+    density, atoms and moments are the same sums over the terms."""
+
+    family = "signed_measure"
+
+    def __init__(self, terms: Sequence[Tuple[float, LawSpec]]):
+        self.terms = list(terms)
+
+    def _combine(self, name: str, x: np.ndarray) -> np.ndarray:
+        """sum of c * law.<name>(x) over the terms, on a 1-D array x."""
+        out = np.zeros_like(x)
+        for c, law in self.terms:
+            out += c * getattr(law, name)(x)
+        return out
+
+    _cdf = partialmethod(_combine, "cdf")
+    _cdf_left = partialmethod(_combine, "cdf_left")
+    _pdf = partialmethod(_combine, "pdf")
+
+    @property
+    def has_density(self):
+        return any(law.has_density for _, law in self.terms)
+
+    def atoms(self):
+        """Signed atoms; only exactly coinciding locations of different
+        terms merge, as in cdf, which sums the terms' own distribution
+        functions."""
+        return merge_atoms([(x, c * w) for c, law in self.terms
+                            for x, w in law.atoms()], rtol=0.0)
+
+    def density_breakpoints(self):
+        return sorted({x for _, law in self.terms for x in law.density_breakpoints()})
+
+    def density_singularities(self):
+        return sorted({x for _, law in self.terms for x in law.density_singularities()})
+
+    def support(self, eps=SUPPORT_EPS):
+        los, his = zip(*(law.support(eps / len(self.terms)) for _, law in self.terms))
+        return (min(los), max(his))
+
+    def tail_scale(self):
+        return max(law.tail_scale() for _, law in self.terms)
+
+    def mass(self) -> float:
+        return sum(c for c, _ in self.terms)
+
+    def mu(self, k):
+        return sum(c * law.mu(k) for c, law in self.terms)
+
+    def nu_upper(self, r: int) -> float:
+        """Triangle-inequality bound sum |c_i| nu_r(P_i) (used for scales);
+        raises InfiniteMomentError from the first term with infinite nu_r."""
+        return sum(abs(c) * law.nu(r) for c, law in self.terms)
+
+    def to_dict(self):
+        return {"family": self.family,
+                "parts": [[c, law.to_dict()] for c, law in self.terms]}
 
 
-def _union(parts, name):
-    """Sorted distinct values of law.<name>() over the (weight, law) parts."""
-    return sorted({x for _, law in parts for x in getattr(law, name)()})
+class Mixture(SignedMeasure):
+    """A signed measure whose coefficients are probability weights."""
 
-
-class Mixture(LawSpec):
     family = "mixture"
 
     def __init__(self, parts: Sequence[Tuple[float, LawSpec]]):
@@ -691,50 +751,13 @@ class Mixture(LawSpec):
             raise DomainError("mixture weights must be >= 0")
         if abs(sum(w for w, _ in parts) - 1.0) > 1e-9:
             raise DomainError("mixture weights must sum to 1")
-        self.parts = parts
-
-    def _cdf(self, x):
-        return _combine(self.parts, "cdf", x)
-
-    def _cdf_left(self, x):
-        return _combine(self.parts, "cdf_left", x)
-
-    def _pdf(self, x):
-        return _combine(self.parts, "pdf", x)
-
-    @property
-    def has_density(self):
-        return any(law.has_density for _, law in self.parts)
-
-    def atoms(self):
-        # only exactly equal locations merge, as in cdf, which sums the
-        # parts' own distribution functions
-        return merge_atoms([(x, w * wp) for wp, law in self.parts
-                            for x, w in law.atoms()], rtol=0.0)
-
-    def density_breakpoints(self):
-        return _union(self.parts, "density_breakpoints")
-
-    def density_singularities(self):
-        return _union(self.parts, "density_singularities")
+        super().__init__(parts)
 
     def support(self, eps=SUPPORT_EPS):
-        los, his = zip(*(law.support(min(1.0 if w == 0 else eps / w, 0.4))
-                         for w, law in self.parts))
+        los, his = zip(*(law.support(min(eps / w, 0.4)) for w, law in self.terms))
         return (min(los), max(his))
 
-    def tail_scale(self):
-        return max(law.tail_scale() for _, law in self.parts)
-
-    def mu(self, k):
-        return sum(w * law.mu(k) for w, law in self.parts)
-
-    def nu(self, r):
-        return sum(w * law.nu(r) for w, law in self.parts)
-
-    def to_dict(self):
-        return {"family": "mixture",
-                "parts": [[w, law.to_dict()] for w, law in self.parts]}
+    nu = SignedMeasure.nu_upper         # exact: the weights are >= 0
 
 
 class Affine(LawSpec):
@@ -839,8 +862,8 @@ def affine(c: float, d: float, base: LawSpec) -> LawSpec:
         return Uniform(min(a, b), max(a, b))
     if isinstance(base, Affine):
         return affine(c * base.c, c * base.d + d, base.base)
-    if isinstance(base, Mixture):
-        return Mixture([(w, affine(c, d, part)) for w, part in base.parts])
+    if isinstance(base, SignedMeasure):
+        return type(base)([(w, affine(c, d, law)) for w, law in base.terms])
     return Affine(c, d, base)
 
 
@@ -928,10 +951,9 @@ class HistogramLaw(LawSpec):
         self._rounded = Rounded(eta, alpha, base)
 
     def _cells(self):
-        pts = self._rounded.atoms()
-        centers = np.array([x for x, _ in pts])
-        w = np.array([wt for _, wt in pts])
-        return centers, w
+        """(centers, masses): the rounded law's own arrays, not to be written."""
+        cells = self._rounded._weights()
+        return cells._locs, cells._wts
 
     def _cdf(self, x):
         centers, w = self._cells()
@@ -1151,9 +1173,9 @@ def _part_ends(law: LawSpec) -> List[float]:
     """The support ends of a mixture's continuous parts, nested ones too: a
     narrow part can fall between all quadrature nodes unless its ends are
     breakpoints."""
-    if not isinstance(law, Mixture):
+    if not isinstance(law, SignedMeasure):
         return []
-    return [e for _, part in law.parts if part.has_density
+    return [e for _, part in law.terms if part.has_density
             for e in (*part.support(1e-15), *_part_ends(part))]
 
 
@@ -1286,39 +1308,6 @@ def standardise(P: LawSpec) -> LawSpec:
     return affine(1.0 / s, -P.mean / s, P)
 
 
-# -- moment tables ------------------------------------------------------------
-
-@dataclass
-class MomentTable:
-    mu: List[Optional[float]]       # mu_0 .. mu_4, None when infinite
-    nu: List[Optional[float]]       # nu_0 .. nu_4
-    mean: Optional[float]
-    sigma: Optional[float]
-
-    def finite(self, r: int) -> bool:
-        return self.nu[r] is not None
-
-
-def moments(P: LawSpec) -> MomentTable:
-    mu: List[Optional[float]] = []
-    nu: List[Optional[float]] = []
-    for k in range(5):
-        try:
-            nuk = P.nu(k)
-        except InfiniteMomentError:
-            nuk = None
-        nu.append(nuk)
-        if nuk is None:
-            mu.append(None)
-        else:
-            mu.append(P.mu(k))
-    mean = mu[1]
-    sigma = None
-    if mu[2] is not None and mean is not None:
-        sigma = math.sqrt(max(mu[2] - mean * mean, 0.0))
-    return MomentTable(mu, nu, mean, sigma)
-
-
 # -- lattice span -------------------------------------------------------------
 
 def lattice_span(P: LawSpec) -> float:
@@ -1361,67 +1350,6 @@ def merge_atoms(pairs: Sequence[Tuple[float, float]],
         else:
             out.append([x, w])
     return [(x, w) for x, w in out if w != 0.0]
-
-
-@dataclass
-class SignedMeasure:
-    """Finite linear combination sum_i coef_i * law_i."""
-
-    terms: List[Tuple[float, LawSpec]]
-
-    def mass(self) -> float:
-        return sum(c for c, _ in self.terms)
-
-    def cdf(self, x):
-        return on_array(partial(_combine, self.terms, "cdf"), x)
-
-    def cdf_left(self, x):
-        return on_array(partial(_combine, self.terms, "cdf_left"), x)
-
-    def density(self, x):
-        return on_array(partial(_combine, self.terms, "pdf"), x)
-
-    @property
-    def has_density(self):
-        return any(law.has_density for _, law in self.terms)
-
-    def atoms(self) -> List[Tuple[float, float]]:
-        """Signed atoms; only exactly coinciding locations of different
-        terms merge, as in cdf, which sums the terms' own distribution
-        functions."""
-        return merge_atoms([(x, c * w) for c, law in self.terms
-                            for x, w in law.atoms()], rtol=0.0)
-
-    def density_breakpoints(self) -> List[float]:
-        return _union(self.terms, "density_breakpoints")
-
-    def density_singularities(self) -> List[float]:
-        return _union(self.terms, "density_singularities")
-
-    def support(self, eps: float = SUPPORT_EPS) -> Tuple[float, float]:
-        los, his = [], []
-        for c, law in self.terms:
-            lo, hi = law.support(eps / max(len(self.terms), 1))
-            los.append(lo)
-            his.append(hi)
-        return (min(los), max(his))
-
-    def tail_scale(self) -> float:
-        return max(law.tail_scale() for _, law in self.terms)
-
-    def mu(self, k: int) -> float:
-        return sum(c * law.mu(k) for c, law in self.terms)
-
-    def nu_upper(self, r: int) -> float:
-        """Triangle-inequality bound sum |c_i| nu_r(P_i) (used for scales)."""
-        return sum(abs(c) * law.nu(r) for c, law in self.terms)
-
-    def scaled(self, lam: float) -> "SignedMeasure":
-        """Image under x -> lam * x."""
-        return SignedMeasure([(c, affine(lam, 0.0, law)) for c, law in self.terms])
-
-    def translated(self, a: float) -> "SignedMeasure":
-        return SignedMeasure([(c, affine(1.0, a, law)) for c, law in self.terms])
 
 
 def signed_diff(P: LawSpec, Q: LawSpec) -> SignedMeasure:

@@ -26,7 +26,7 @@ from .numerics import (DEFAULT_TOL, Tolerance, cumulative_integral,
                        golden_section, integrate, on_array, refine_grid,
                        scan_sign_changes, sign_roots, std_normal_cdf, std_normal_pdf)
 from .measures import (Affine, Atoms, Dirac, HistogramLaw, InfiniteMomentError,
-                       LawSpec, Mixture, Normal, Rounded, SignedMeasure, Uniform,
+                       LawSpec, Normal, Rounded, SignedMeasure, Uniform,
                        STANDARD_NORMAL, signed_diff, standardise)
 
 
@@ -130,20 +130,18 @@ def closed_stack_evaluator(law: LawSpec, k: int) -> Optional[Callable]:
             return None
         c, d = law.c, law.d
         return lambda x: c ** (k - 1) * base((x - d) / c)
-    if isinstance(law, Mixture):
-        subs = [(w, closed_stack_evaluator(part, k)) for w, part in law.parts]
+    if isinstance(law, SignedMeasure):            # mixtures too
+        subs = [(c, closed_stack_evaluator(part, k)) for c, part in law.terms]
         if any(e is None for _, e in subs):
             return None
-        return lambda x: sum(w * e(x) for w, e in subs)
+        return lambda x: sum(c * e(x) for c, e in subs)
     return None
 
 
 def closed_measure_stack(M: SignedMeasure, k: int) -> Optional[Callable]:
     """Vectorized x -> F_{M,k}(x), or None when a term has no closed form."""
-    evs = [(c, closed_stack_evaluator(law, k)) for c, law in M.terms]
-    if any(e is None for _, e in evs):
-        return None
-    return lambda x: on_array(lambda xs: sum(c * e(xs) for c, e in evs), x)
+    ev = closed_stack_evaluator(M, k)
+    return None if ev is None else lambda x: on_array(ev, x)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +296,7 @@ def kappa_r(M: SignedMeasure, r: Union[float, Sequence[float]],
         raise MetricError("kappa_r needs r > 0")
     top = max(orders, default=1.0)
     try:
-        for _, law in M.terms:
-            law.nu(int(math.ceil(top)))
+        M.nu_upper(int(math.ceil(top)))
     except InfiniteMomentError as exc:
         raise MetricError(f"kappa_{top} diverges: {exc}") from exc
     grid = metric_grid(M)
@@ -386,8 +383,7 @@ def nu_r_signed(M: SignedMeasure, r: int,
                 tol: Tolerance = DEFAULT_TOL) -> MetricValue:
     """nu_r of the variation measure |M| (atoms + |summed density|)."""
     try:
-        for _, law in M.terms:
-            law.nu(r)
+        M.nu_upper(r)
     except InfiniteMomentError:
         return MetricValue(math.inf, 0.0, "closed_form",
                            certificate={"finite": False})
@@ -395,8 +391,8 @@ def nu_r_signed(M: SignedMeasure, r: int,
     err = 0.0
     if M.has_density:
         grid = metric_grid(M)
-        roots, _ = sign_roots(M.density, refine_grid(grid, 2))
-        v, err = integrate(lambda x: np.abs(x) ** r * np.abs(M.density(x)),
+        roots, _ = sign_roots(M.pdf, refine_grid(grid, 2))
+        v, err = integrate(lambda x: np.abs(x) ** r * np.abs(M.pdf(x)),
                            grid[0], grid[-1], tol, breakpoints=_panel_points(M, grid, roots),
                            singularities=M.density_singularities())
         total += v

@@ -409,17 +409,17 @@ class TestNormInequalities:
             p = rng.uniform(0.1, 0.9)
             M = btilde_minus_N(p)
             z1 = zm.zeta_r(M, 1).value
-            z1s = zm.zeta_r(M.scaled(lam), 1).value
+            z1s = zm.zeta_r(zm.affine(lam, 0.0, M), 1).value
             assert abs(z1s - lam * z1) < 1e-7 * max(1.0, lam * z1)
         M = btilde_minus_N(0.5)
         z3 = zm.zeta_r(M, 3).value
-        z3s = zm.zeta_r(M.scaled(lam), 3).value
+        z3s = zm.zeta_r(zm.affine(lam, 0.0, M), 3).value
         assert abs(z3s - lam ** 3 * z3) < 1e-7 * max(1.0, lam ** 3 * z3)
 
     @pytest.mark.parametrize("a", [0.7, -1.3])
     def test_translation_invariance(self, a):
         M = btilde_minus_N(0.4)
-        Mt = M.translated(a)
+        Mt = zm.affine(1.0, a, M)
         assert abs(zm.kolmogorov(Mt).value - zm.kolmogorov(M).value) < 1e-10
         assert abs(zm.nu_r_signed(Mt, 0).value - zm.nu_r_signed(M, 0).value) < 1e-8
         # zeta_1 is translation invariant on mass-zero measures
@@ -513,6 +513,32 @@ SHAPE_LAWS = SCALAR_LAWS + [zm.dirac(0.5), zm.Lattice(0.1, 0.5, [0.2, 0.3, 0.5])
                             zm.conv2_law(zm.uniform(-1.0, 1.0), zm.gamma_power(2.0))]
 
 
+class TestLinearCombinations:
+    """A mixture is a signed measure with probability weights: one type,
+    one closed stack, and affine maps it term by term."""
+
+    @pytest.mark.parametrize("c,d,factor", [(2.0, 0.0, 8.0), (1.0, 0.5, 1.0)])
+    def test_affine_image_of_signed_measure(self, c, d, factor):
+        M = zolotarev_M()
+        image = zm.affine(c, d, M)
+        assert type(image) is zm.SignedMeasure
+        z, zi = zm.zeta_r(M, 3), zm.zeta_r(image, 3)
+        assert abs(zi.value - factor * z.value) <= zi.err_est + factor * z.err_est
+
+    def test_mixture_equals_signed_measure_with_its_weights(self):
+        parts = [(0.25, zm.dirac(0.5)), (0.25, zm.atoms_law([(-1.0, 0.5), (0.5, 0.5)])),
+                 (0.3, zm.normal(0.2, 1.3)), (0.2, zm.uniform(-1.0, 2.0))]
+        P, S = zm.mixture(parts), zm.SignedMeasure(parts)
+        xs = np.concatenate([np.linspace(-4.0, 4.0, 81), [-1.0, 0.5, 2.0]])
+        for name in ("cdf", "cdf_left", "pdf"):
+            assert np.array_equal(getattr(P, name)(xs), getattr(S, name)(xs)), name
+        assert P.atoms() == S.atoms()
+        assert [P.mu(k) for k in range(5)] == [S.mu(k) for k in range(5)]
+        for k in range(1, 5):
+            assert np.array_equal(closed_measure_stack(P, k)(xs),
+                                  closed_measure_stack(S, k)(xs)), k
+
+
 def assert_scalar_matches_array(f):
     for t in SCALAR_POINTS:
         assert float(f(t)) == float(f(np.array([t]))[0]), t
@@ -530,7 +556,7 @@ class TestScalarEvaluation:
             if f is not None:
                 assert_scalar_matches_array(f)
 
-    @pytest.mark.parametrize("name", ["cdf", "cdf_left", "density"])
+    @pytest.mark.parametrize("name", ["cdf", "cdf_left", "pdf"])
     def test_measure_surface(self, name):
         for M in SCALAR_MEASURES:
             assert_scalar_matches_array(getattr(M, name))
@@ -541,7 +567,7 @@ class TestScalarEvaluation:
         array an empty array, for laws and for signed measures."""
         x = np.linspace(-2.0, 2.5, 6)
         surfaces = [getattr(law, name) for law in SHAPE_LAWS]
-        surfaces += [getattr(M, "density" if name == "pdf" else name) for M in SCALAR_MEASURES]
+        surfaces += [getattr(M, name) for M in SCALAR_MEASURES]
         for f in surfaces:
             assert np.array_equal(f(x.reshape(2, 3)), f(x).reshape(2, 3))
             empty = f(np.array([]))

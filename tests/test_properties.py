@@ -40,8 +40,8 @@ def test_kappa1_translation_invariant_and_homogeneous(P, Q, a, lam):
     M = zm.signed_diff(P, Q)
     k1 = zm.kappa_r(M, 1.0).value
     slack = 1e-9 * max(1.0, lam * k1)
-    assert abs(zm.kappa_r(M.translated(a), 1.0).value - k1) <= slack
-    assert abs(zm.kappa_r(M.scaled(lam), 1.0).value - lam * k1) <= slack
+    assert abs(zm.kappa_r(zm.affine(1.0, a, M), 1.0).value - k1) <= slack
+    assert abs(zm.kappa_r(zm.affine(lam, 0.0, M), 1.0).value - lam * k1) <= slack
 
 
 @st.composite
@@ -60,8 +60,8 @@ def test_zeta_r_translation_invariant_and_homogeneous(P, Q, r, a, lam):
     M = zm.signed_diff(P, Q)
     z = zm.zeta_r(M, r).value
     slack = 1e-9 * max(1.0, lam ** r * z)
-    assert abs(zm.zeta_r(M.translated(a), r).value - z) <= slack
-    assert abs(zm.zeta_r(M.scaled(lam), r).value - lam ** r * z) <= slack
+    assert abs(zm.zeta_r(zm.affine(1.0, a, M), r).value - z) <= slack
+    assert abs(zm.zeta_r(zm.affine(lam, 0.0, M), r).value - lam ** r * z) <= slack
 
 
 @FEW
