@@ -4,11 +4,11 @@ Special functions (normal CDF/quantile, regularized incomplete gamma),
 adaptive Gauss-Legendre quadrature of vectorized integrands on finite
 intervals (many intervals share each round), cumulative integrals on a
 breakpoint grid from the antiderivatives of the same Gauss-Legendre
-panels, bracketed root finding (many brackets in lockstep, one
-vectorized call per step), golden-section search, grid refinement, and
-sign-change counting and root location.  Everything here is pure and
-operates on plain floats / numpy arrays; no probability-specific types
-appear.
+panels, bracketed root finding and golden-section minimisation (each
+runs many brackets in lockstep, one vectorized call per step), grid
+refinement, and sign-change counting and root location.  Everything
+here is pure and operates on plain floats / numpy arrays; no
+probability-specific types appear.
 """
 
 from __future__ import annotations
@@ -528,27 +528,74 @@ def cumulative_integral(fn: Callable, breakpoints, left_tail: float, sign: int =
 # searches
 # ---------------------------------------------------------------------------
 
-def golden_section(f: Callable[[float], float], a: float, b: float,
-                   tol: float = 1e-10, max_iter: int = 200):
-    """Minimize unimodal f on [a, b]; returns (argmin, min)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_bracket(a: float, b: float, tol: float, max_iter: int):
+    """One bracket's golden-section search on floats, as a coroutine: it
+    yields its two interior points as a pair and is sent their two values,
+    then yields each new point alone and is sent its value; it returns
+    (argmin, min)."""
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = yield x1, x2
     for _ in range(max_iter):
         if abs(b - a) < tol * (1.0 + abs(a) + abs(b)):
             break
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
+            x1 = b - _INVPHI * (b - a)
+            f1 = yield x1
         else:
             a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    if f1 < f2:
-        return x1, f1
-    return x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = yield x2
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
+def golden_section(f: Callable, a, b, tol: float = 1e-10, max_iter: int = 200):
+    """Minimize unimodal f on the brackets [a, b], all in lockstep; returns
+    (argmin, min).
+
+    ``a`` and ``b`` are floats, or equal-length 1-D arrays of brackets with
+    a vectorised ``f``.  The first call of f gets the two interior points
+    of every bracket; after that each call gets the one new point of each
+    bracket still open.  Every bracket keeps its own f1 < f2 branch and its
+    own width test, so it sees the iterates it would see alone and gets a
+    bit-identical (argmin, min).  A float bracket calls f on floats and
+    returns floats (with no numpy in its loop); arrays give two arrays.
+    """
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        search = _golden_bracket(a, b, tol, max_iter)
+        x1, x2 = next(search)
+        try:
+            x = search.send((f(x1), f(x2)))
+            while True:
+                x = search.send(f(x))
+        except StopIteration as stop:
+            return stop.value
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise DomainError("golden_section needs floats or equal-length 1-D bracket arrays")
+    arg, val = np.empty(a.size), np.empty(a.size)
+    live = [(i, _golden_bracket(lo, hi, tol, max_iter))
+            for i, (lo, hi) in enumerate(zip(a.tolist(), b.tolist()))]
+    if not live:
+        return arg, val
+    pairs = np.array([next(search) for _, search in live])
+    sent = np.asarray(f(pairs.ravel()), dtype=float).reshape(-1, 2).tolist()
+    while live:
+        still, points = [], []
+        for (i, search), v in zip(live, sent):
+            try:
+                points.append(search.send(v))
+                still.append((i, search))
+            except StopIteration as stop:
+                arg[i], val[i] = stop.value
+        live = still
+        if live:
+            sent = np.asarray(f(np.array(points)), dtype=float).tolist()
+    return arg, val
 
 
 def scan_sign_changes(values: np.ndarray, zero_band: float):

@@ -435,3 +435,20 @@ class TestFindRoot:
             nm.find_root(f, np.array([0.0, -1.0]), np.array([1.0, 2.0]))
         with pytest.raises(nm.DomainError, match="finite bracket"):
             nm.find_root(lambda x: x, -math.inf, 1.0)
+
+
+class TestGoldenSection:
+    def test_float_bracket_returns_floats(self):
+        x, v = nm.golden_section(lambda t: (t - 0.3) ** 2, 0.0, 1.0)
+        assert type(x) is float and type(v) is float
+        assert abs(x - 0.3) < 1e-9
+
+    def test_empty_bracket_array(self):
+        def f(x):
+            raise AssertionError("f called on an empty bracket array")
+        xs, vs = nm.golden_section(f, np.empty(0), np.empty(0))
+        assert xs.shape == vs.shape == (0,)
+
+    def test_unequal_bracket_arrays_raise(self):
+        with pytest.raises(nm.DomainError, match="equal-length"):
+            nm.golden_section(lambda t: t * t, np.zeros(2), np.ones(3))

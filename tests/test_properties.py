@@ -1,6 +1,7 @@
 """Randomised properties of the metrics and of the rounding operators, the
-batched root finder of ``sign_roots`` against its one-bracket loop, and the
-early decline of ``zeta3_cut_criterion`` against the path without it."""
+batched root finder of ``sign_roots`` and the lockstep golden section
+against their one-bracket loops, and the early decline of
+``zeta3_cut_criterion`` against the path without it."""
 
 import math
 
@@ -108,6 +109,93 @@ def scalar_find_root(f, a, b, tol, max_iter=200):
             a, fa = x, fx
         use_secant = not use_secant
     return 0.5 * (a + b)
+
+
+def scalar_golden_section(f, a, b, tol=1e-10, max_iter=200):
+    """The one-bracket golden-section loop on Python floats: the reference
+    for the iterates of the lockstep search."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(max_iter):
+        if abs(b - a) < tol * (1.0 + abs(a) + abs(b)):
+            break
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    if f1 < f2:
+        return x1, f1
+    return x2, f2
+
+
+@st.composite
+def unimodal_functions(draw):
+    """(f on floats, the same f vectorised): s (x - m)^2 + c (|x - m| - h)_+,
+    built from correctly rounded operations only, so that both give the
+    same bits; s = 0 < h gives a flat bottom, where f1 == f2 ties."""
+    m = draw(st.floats(-5.0, 5.0))
+    s, c = (draw(st.one_of(st.just(0.0), st.floats(0.01, 10.0))) for _ in range(2))
+    h = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    return (lambda x: s * ((x - m) * (x - m)) + c * max(abs(x - m) - h, 0.0),
+            lambda x: s * ((x - m) * (x - m)) + c * np.maximum(np.abs(x - m) - h, 0.0))
+
+
+@FEW
+@given(unimodal_functions(),
+       st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                min_size=1, max_size=6),
+       st.sampled_from([1e-13, 1e-10, 1e-6, 0.1]), st.sampled_from([0, 1, 5, 200]))
+def test_lockstep_golden_section_matches_loop(fns, brackets, tol, max_iter):
+    f_float, f_vec = fns
+    a, b = (np.array(ends) for ends in zip(*(sorted(p) for p in brackets)))
+    sizes = []
+    xs, vs = nm.golden_section(lambda x: sizes.append(x.size) or f_vec(x), a, b,
+                               tol=tol, max_iter=max_iter)
+    got = list(zip(xs.tolist(), vs.tolist()))
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert got == [scalar_golden_section(f_float, lo, hi, tol, max_iter) for lo, hi in pairs]
+    assert got == [nm.golden_section(f_float, lo, hi, tol=tol, max_iter=max_iter)
+                   for lo, hi in pairs]
+    # both interior points of every bracket first, then one point per open
+    # bracket a step
+    assert sizes[0] == 2 * a.size and len(sizes) <= max_iter + 1
+    assert all(0 < n <= m for n, m in zip(sizes[1:], [a.size] + sizes[1:]))
+
+
+def test_kolmogorov_polish_is_one_call_per_step(monkeypatch):
+    """kolmogorov(M * M) for Zolotarev's M polishes its candidate maxima
+    together: one M.cdf call per search step, on the 193 points that one
+    search per candidate sees in as many calls; the sup stays 1/4."""
+    from zetametrics import metrics
+    from zetametrics.paper_tables import zolotarev_measure
+    M = zolotarev_measure()
+    MM = zm.convolve_signed(M, M)
+    cdf, sizes, brackets, first = MM.cdf, [], [], []
+
+    def recording(f, a, b, **kw):
+        brackets.extend(zip(a.tolist(), b.tolist()))
+        first.append(len(sizes))
+        return nm.golden_section(f, a, b, **kw)
+
+    monkeypatch.setattr(metrics, "golden_section", recording)
+    MM.cdf = lambda x: sizes.append(np.size(x)) or cdf(x)
+    v = zm.kolmogorov(MM, n_base=384)
+    assert v.value.hex() == "0x1.0000000000000p-2"
+    polish = sizes[first[0]:]
+    lone = []
+    for lo, hi in brackets:
+        calls = []
+        scalar_golden_section(lambda t: calls.append(t) or -abs(float(cdf(t))), lo, hi, tol=1e-13)
+        lone.append(len(calls))
+    assert len(brackets) == 4 and sum(lone) == 193
+    assert sum(polish) == sum(lone) and polish[0] == 2 * len(brackets)
+    assert len(polish) == max(lone) - 1 <= 201       # max_iter + 1
 
 
 def one_bracket_roots(f, xs, find):
