@@ -527,8 +527,7 @@ class GammaPower(LawSpec):
     def _cdf(self, x):
         out = np.zeros_like(x)
         pos = x > 0
-        vals = np.array([reg_incomplete_gamma(self.alpha, self.lam * v ** self.beta)
-                         for v in x[pos]])
+        vals = reg_incomplete_gamma(self.alpha, self.lam * x[pos] ** self.beta)
         out[pos] = vals if self.beta > 0 else 1.0 - vals
         return out
 
@@ -631,9 +630,7 @@ class SubbotinLaw(LawSpec):
             raise DomainError("subbotin needs scale > 0")
 
     def _cdf(self, x):
-        half = np.array([reg_incomplete_gamma(1.0 / self.beta,
-                                              (abs(v) / self.scale) ** self.beta)
-                         for v in x])
+        half = reg_incomplete_gamma(1.0 / self.beta, (np.abs(x) / self.scale) ** self.beta)
         return 0.5 + 0.5 * np.sign(x) * half
 
     def _pdf(self, x):

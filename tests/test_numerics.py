@@ -65,10 +65,79 @@ class TestRegIncompleteGamma:
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_domain_errors(self):
+        for a, x in ((0.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, -math.inf),
+                     (0.0, np.array([1.0])), (1.0, np.array([1.0, -1e-300, 2.0]))):
+            with pytest.raises(nm.DomainError):
+                nm.reg_incomplete_gamma(a, x)
         with pytest.raises(nm.DomainError):
-            nm.reg_incomplete_gamma(0.0, 1.0)
-        with pytest.raises(nm.DomainError):
-            nm.reg_incomplete_gamma(1.0, -1.0)
+            nm.reg_incomplete_gamma(1.0, np.linspace(-1.0, 1.0, nm._LOCKSTEP_MIN_SIZE))
+
+    def test_float_gives_float_and_array_gives_array(self):
+        for x in (1.5, np.float64(1.5), np.array(1.5)):
+            assert type(nm.reg_incomplete_gamma(2.0, x)) is float
+        for shape in ((3, 4), (20, 10)):           # below and at the lockstep size
+            grid = np.linspace(0.0, 9.0, math.prod(shape)).reshape(shape)
+            out = nm.reg_incomplete_gamma(2.0, grid)
+            assert isinstance(out, np.ndarray) and out.shape == shape
+            assert out.tolist() == [[nm.reg_incomplete_gamma(2.0, x) for x in row]
+                                    for row in grid.tolist()]
+
+    def test_lockstep_only_from_its_minimum_size(self, monkeypatch):
+        """An array below _LOCKSTEP_MIN_SIZE, the empty one too, takes the
+        float loop per element and never steps the lockstep; from that size
+        on it does.  Both give the float loop's values."""
+        steps, lockstep = [], nm._lockstep
+
+        def counting(step, state, n):
+            return lockstep(lambda i, st: steps.append(i) or step(i, st), state, n)
+
+        monkeypatch.setattr(nm, "_lockstep", counting)
+        out = nm.reg_incomplete_gamma(2.0, np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,) and steps == []
+        for size in (nm._LOCKSTEP_MIN_SIZE - 1, nm._LOCKSTEP_MIN_SIZE):
+            steps.clear()
+            x = np.linspace(0.0, 30.0, size)
+            out = nm.reg_incomplete_gamma(2.0, x)
+            assert bool(steps) == (size == nm._LOCKSTEP_MIN_SIZE)
+            assert out.tolist() == [nm.reg_incomplete_gamma(2.0, v) for v in x.tolist()]
+
+    def test_non_finite_x(self):
+        """NaN gives NaN (as scipy's gammainc) and +inf gives 1, before any
+        loop; on an array neither holds the loop open."""
+        assert math.isnan(nm.reg_incomplete_gamma(2.0, math.nan))
+        assert nm.reg_incomplete_gamma(2.0, math.inf) == 1.0
+        for size in (4, nm._LOCKSTEP_MIN_SIZE):
+            x = np.resize([math.nan, math.inf, 0.0, 1.0], size)
+            out = nm.reg_incomplete_gamma(2.0, x)
+            assert np.isnan(out[::4]).all() and (out[1::4] == 1.0).all() and (out[2::4] == 0.0).all()
+            assert (out[3::4] == nm.reg_incomplete_gamma(2.0, 1.0)).all()
+        assert math.isnan(sps.gammainc(2.0, math.nan))
+
+    def test_law_cdf_at_non_finite_points(self):
+        from zetametrics import measures
+        x = np.array([math.nan, math.inf, -math.inf])
+        for law in (measures.GammaPower(3.0), measures.GammaPower(2.0, 1.0, -1.0)):
+            assert law.cdf(x).tolist() == [0.0, 1.0, 0.0]
+        out = measures.SubbotinLaw(1.5).cdf(x)
+        assert math.isnan(out[0]) and out[1:].tolist() == [1.0, 0.0]
+
+    def test_law_cdf_is_one_call_per_array(self, monkeypatch):
+        """SubbotinLaw.cdf and GammaPower.cdf call reg_incomplete_gamma once
+        per array, never once per point."""
+        from zetametrics import measures
+        calls = []
+
+        def counting(a, x):
+            calls.append(np.size(x))
+            return nm.reg_incomplete_gamma(a, x)
+
+        monkeypatch.setattr(measures, "reg_incomplete_gamma", counting)
+        x = np.linspace(-3.0, 12.0, 301)
+        for law in (measures.SubbotinLaw(1.5), measures.SubbotinLaw(0.5),
+                    measures.GammaPower(3.0), measures.GammaPower(2.0, 1.0, -1.0)):
+            calls.clear()
+            law.cdf(x)
+            assert len(calls) == 1
 
 
 class TestIntegrate:

@@ -1,11 +1,13 @@
 """Randomised properties of the metrics and of the rounding operators, the
-batched root finder of ``sign_roots`` and the lockstep golden section
-against their one-bracket loops, and the early decline of
-``zeta3_cut_criterion`` against the path without it."""
+batched root finder of ``sign_roots``, the lockstep golden section and the
+lockstep incomplete gamma against their one-at-a-time loops, and the early
+decline of ``zeta3_cut_criterion`` against the path without it."""
 
 import math
 
+import mpmath
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import zetametrics as zm
@@ -288,3 +290,33 @@ def test_cut_early_decline_paper_laws():
 def test_cut_early_decline_lattice(P):
     assume(P.std > 0.05)
     assert_cut_matches_full_path(P)
+
+
+def ulps(values, reference):
+    """|values - reference| in units in the last place of the reference."""
+    return np.abs(values - reference) / np.spacing(np.abs(reference))
+
+
+@pytest.mark.parametrize("a", [1.0, 2 / 3, 1 / 2, 1 / 4, 2.0, 3.0, 9.0, 30.0])
+def test_lockstep_incomplete_gamma_matches_float_loop(a):
+    """reg_incomplete_gamma on an array against the float loop per point,
+    from 1e-30 to a + 60 and next to the branch switch at x = a + 1: every
+    element within 4 ulp, and no larger error against mpmath."""
+    switch = a + 1.0
+    xs = np.concatenate([np.geomspace(1e-30, a + 60.0, 400),
+                         np.linspace(0.5 * switch, 1.5 * switch, 101),
+                         [np.nextafter(switch, 0.0), switch, np.nextafter(switch, np.inf)]])
+    array = nm.reg_incomplete_gamma(a, xs)
+    floats = np.array([nm.reg_incomplete_gamma(a, x) for x in xs.tolist()])
+    assert np.max(ulps(array, floats)) <= 4
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.gammainc(a, 0, x, regularized=True)) for x in xs.tolist()])
+    assert np.max(np.abs(array - exact)) <= np.max(np.abs(floats - exact))
+
+
+def test_inverse_gamma_cdf_on_an_array_matches_float_loop():
+    law = zm.gamma_power(2.0, 1.0, -1.0)
+    xs = np.concatenate([-np.geomspace(1e-3, 5.0, 20), [0.0], np.geomspace(1e-3, 1e4, 500)])
+    floats = np.array([1.0 - nm.reg_incomplete_gamma(2.0, 1.0 * x ** -1.0) if x > 0 else 0.0
+                       for x in xs.tolist()])
+    assert np.max(ulps(law.cdf(xs), floats)) <= 4
