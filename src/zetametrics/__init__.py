@@ -14,7 +14,7 @@ from .measures import (LawSpec, SignedMeasure, Atoms, Bernoulli,
                        Dirac, GammaPower, HistogramLaw, Lattice, Mixture,
                        Normal, Rounded, SubbotinLaw, TruncatedNormalLeft,
                        Uniform, WinsorisedNormalLeft, affine, atoms_law,
-                       bernoulli, centre, conv2_law, convolve_signed, dirac,
+                       bernoulli, conv2_law, convolve_signed, dirac,
                        gamma_power, histogram, law_from_dict, lattice_span,
                        truncated_normal_left, winsorised_normal_left,
                        mixture, normal, reflect, rounded, signed_diff,

@@ -57,7 +57,6 @@ class LatticeWeights:
     shift: float
     span: float
     weights: np.ndarray
-    mass_tail: float = 0.0
     fft_size: int = 0
     noise_floor: float = 0.0
 
@@ -67,8 +66,8 @@ class LatticeWeights:
             raise ConvolveError("span must be > 0")
         if np.any(self.weights < 0):
             raise ConvolveError("weights must be >= 0")
-        if abs(float(self.weights.sum()) + self.mass_tail - 1.0) > 1e-9:
-            raise ConvolveError("weights + mass_tail must sum to 1")
+        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
+            raise ConvolveError("weights must sum to 1")
 
     @property
     def locations(self) -> np.ndarray:
@@ -106,9 +105,7 @@ def convolve_atomic(P: LatticeWeights, Q: LatticeWeights) -> LatticeWeights:
         raise SpanMismatchError(f"span mismatch: {P.span} vs {Q.span}")
     if (P.weights.size + Q.weights.size - 1) > MAX_LATTICE_ENTRIES:
         raise ConvolveError("convolution result exceeds entry budget")
-    w = np.convolve(P.weights, Q.weights)
-    tail = P.mass_tail + Q.mass_tail
-    return LatticeWeights(P.shift + Q.shift, P.span, w, min(tail, 1.0))
+    return LatticeWeights(P.shift + Q.shift, P.span, np.convolve(P.weights, Q.weights))
 
 
 def _square_down(P: LatticeWeights, n: int, cap: float):
@@ -174,9 +171,8 @@ def power_lattice(P: LatticeWeights, n: int) -> LatticeWeights:
     del W
     floor = q * math.log2(fft_size) * np.finfo(float).eps * float(w.max())
     w[w <= floor] = 0.0
-    tail = min(n * P.mass_tail, 1.0)
-    w *= (1.0 - tail) / w.sum()
-    return LatticeWeights(n * P.shift, P.span, w, tail, fft_size, floor)
+    w *= 1.0 / w.sum()
+    return LatticeWeights(n * P.shift, P.span, w, fft_size, floor)
 
 
 def _phi_antideriv(x: np.ndarray) -> np.ndarray:
@@ -260,12 +256,8 @@ def clt_lhs(P: LawSpec, n: int, mode: str = "exact_lattice",
     if mode == "quadrature_n2":
         if n != 2:
             raise ModeError("quadrature_n2 requires n = 2")
-        law = conv2_law(P, P)
-        M = signed_diff(standardise(law), STANDARD_NORMAL)
-        # quadrature-backed CDF evaluations are costly; a coarser candidate
-        # grid plus the golden polish keeps the sup accurate for smooth F_M
-        n_base = 96 if law.family == "conv2" else 2048
-        out = kolmogorov(M, tol, n_base=n_base)
+        M = signed_diff(standardise(conv2_law(P, P)), STANDARD_NORMAL)
+        out = kolmogorov(M, tol)
         out.method = "quadrature"
         return out
     if mode == "lattice_approx":
@@ -310,8 +302,5 @@ def convolution_inequality_check(F1: LawSpec, F2: LawSpec,
     d1 = kappa_r(signed_diff(F1, H1), 1.0, tol).value
     d2 = kappa_r(signed_diff(F2, H2), 1.0, tol).value
     rhs = (math.sqrt(L2 * d1) + math.sqrt(L1 * d2)) ** 2
-    c12 = conv2_law(F1, F2)
-    Mconv = signed_diff(c12, conv2_law(H1, H2))
-    n_base = 96 if c12.family == "conv2" else 2048
-    lhs = kolmogorov(Mconv, tol, n_base=n_base).value
+    lhs = kolmogorov(signed_diff(conv2_law(F1, F2), conv2_law(H1, H2)), tol).value
     return lhs, rhs

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partialmethod
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -163,10 +163,6 @@ class LawSpec:
     def std(self) -> float:
         return math.sqrt(self.variance)
 
-    def central_mu3(self) -> float:
-        m1 = self.mu(1)
-        return self.mu(3) - 3.0 * m1 * self.mu(2) + 2.0 * m1 ** 3
-
     # -- serialization
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -195,33 +191,6 @@ class LawSpec:
 
 # -- elementary families ------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Dirac(LawSpec):
-    a: float
-    family = "dirac"
-
-    def _cdf(self, x):
-        return (x >= self.a).astype(float)
-
-    def atoms(self):
-        return [(self.a, 1.0)]
-
-    def support(self, eps=SUPPORT_EPS):
-        return (self.a, self.a)
-
-    def tail_scale(self):
-        return 1.0
-
-    def mu(self, k):
-        return self.a ** k
-
-    def nu(self, r):
-        return abs(self.a) ** r
-
-    def to_dict(self):
-        return {"family": "dirac", "a": self.a}
-
-
 class Atoms(LawSpec):
     """Finite purely atomic law; locations sorted, nearby ones merged."""
 
@@ -237,11 +206,10 @@ class Atoms(LawSpec):
             raise DomainError(f"atom weights must sum to 1, got {total}")
         self._locs = np.array([x for x, _ in merged])
         self._wts = np.array([w for _, w in merged])
-        self._cum = np.cumsum(self._wts)
+        self._cum = np.concatenate([[0.0], np.cumsum(self._wts)])
 
     def _cdf(self, x, side="right"):
-        idx = np.searchsorted(self._locs, x, side=side)
-        return np.where(idx > 0, self._cum[np.maximum(idx - 1, 0)], 0.0)
+        return self._cum[np.searchsorted(self._locs, x, side=side)]
 
     def _cdf_left(self, x):
         return self._cdf(x, side="left")
@@ -264,6 +232,24 @@ class Atoms(LawSpec):
     def to_dict(self):
         return {"family": "atoms",
                 "points": [[x, w] for x, w in self.atoms()]}
+
+
+class Dirac(Atoms):
+    family = "dirac"
+
+    def __init__(self, a: float):
+        self.a = a
+        super().__init__([(a, 1.0)])
+
+    # Python's a ** k, not numpy's power: they differ in the last bit
+    def mu(self, k):
+        return self.a ** k
+
+    def nu(self, r):
+        return abs(self.a) ** r
+
+    def to_dict(self):
+        return {"family": "dirac", "a": self.a}
 
 
 class Bernoulli(Atoms):
@@ -524,10 +510,16 @@ class GammaPower(LawSpec):
         if self.alpha <= 0 or self.lam <= 0 or self.beta == 0:
             raise DomainError("gamma_power needs alpha > 0, lam > 0, beta != 0")
 
+    def _power(self, x):
+        """x ** beta; a tiny x with beta < 0 overflows to inf, the limit that
+        makes cdf and pdf 0 there."""
+        with np.errstate(over="ignore"):
+            return x ** self.beta
+
     def _cdf(self, x):
         out = np.zeros_like(x)
         pos = x > 0
-        vals = reg_incomplete_gamma(self.alpha, self.lam * x[pos] ** self.beta)
+        vals = reg_incomplete_gamma(self.alpha, self.lam * self._power(x[pos]))
         out[pos] = vals if self.beta > 0 else 1.0 - vals
         return out
 
@@ -537,7 +529,7 @@ class GammaPower(LawSpec):
         la, a, b = self.lam, self.alpha, self.beta
         v = x[pos]
         out[pos] = np.exp(a * math.log(la) + (a * b - 1.0) * np.log(v)
-                          - la * v ** b - math.lgamma(a)) * abs(b)
+                          - la * self._power(v) - math.lgamma(a)) * abs(b)
         return out
 
     @property
@@ -864,7 +856,7 @@ def affine(c: float, d: float, base: LawSpec) -> LawSpec:
     return Affine(c, d, base)
 
 
-class Rounded(LawSpec):
+class Rounded(Atoms):
     """Projection of ``base`` onto the lattice {(alpha + j) eta : j in Z}.
 
     Cell j receives base mass of ]((alpha+j-1/2)eta, (alpha+j+1/2)eta];
@@ -879,55 +871,31 @@ class Rounded(LawSpec):
         self.eta = float(eta)
         self.alpha = float(alpha)
         self.base = base
-        self._inner: Optional[Atoms] = None
-
-    def _weights(self) -> Atoms:
-        if self._inner is None:
-            lo, hi = self.base.support(ROUNDING_TAIL_MASS / 4.0)
-            j_lo = math.floor(lo / self.eta - self.alpha + 0.5) - 1
-            j_hi = math.ceil(hi / self.eta - self.alpha - 0.5) + 1
-            js = np.arange(j_lo, j_hi + 1)
-            edges = (self.alpha + js[0] - 0.5 + np.arange(js.size + 1)) * self.eta
-            p = np.diff(self.base.cdf(edges))
-            for x, w in self.base.atoms():
-                k = (x / self.eta) - self.alpha + 0.5
-                if abs(k - round(k)) <= ATOM_MERGE_RTOL * max(1.0, abs(k)):
-                    # boundary atom: the cdf difference put all of w into the
-                    # cell left of the boundary; move half of it to the right
-                    j_edge = int(round(k)) - 1 - j_lo
-                    if 0 <= j_edge < p.size:
-                        p[j_edge] -= 0.5 * w
-                    if 0 <= j_edge + 1 < p.size:
-                        p[j_edge + 1] += 0.5 * w
-            locs = (self.alpha + js) * self.eta
-            missing = 1.0 - float(p.sum())
-            if abs(missing) > 1e-12:
-                raise MeasureError(f"rounding lost mass {missing:g}")
-            keep = p > 0
-            self._inner = Atoms(list(zip(locs[keep].tolist(),
-                                         (p[keep] / p[keep].sum()).tolist())))
-        return self._inner
-
-    def _cdf(self, x):
-        return self._weights().cdf(x)
-
-    def _cdf_left(self, x):
-        return self._weights().cdf_left(x)
-
-    def atoms(self):
-        return self._weights().atoms()
-
-    def support(self, eps=SUPPORT_EPS):
-        return self._weights().support(eps)
+        lo, hi = base.support(ROUNDING_TAIL_MASS / 4.0)
+        j_lo = math.floor(lo / self.eta - self.alpha + 0.5) - 1
+        j_hi = math.ceil(hi / self.eta - self.alpha - 0.5) + 1
+        js = np.arange(j_lo, j_hi + 1)
+        edges = (self.alpha + js[0] - 0.5 + np.arange(js.size + 1)) * self.eta
+        p = np.diff(base.cdf(edges))
+        for x, w in base.atoms():
+            k = (x / self.eta) - self.alpha + 0.5
+            if abs(k - round(k)) <= ATOM_MERGE_RTOL * max(1.0, abs(k)):
+                # boundary atom: the cdf difference put all of w into the
+                # cell left of the boundary; move half of it to the right
+                j_edge = int(round(k)) - 1 - j_lo
+                if 0 <= j_edge < p.size:
+                    p[j_edge] -= 0.5 * w
+                if 0 <= j_edge + 1 < p.size:
+                    p[j_edge + 1] += 0.5 * w
+        locs = (self.alpha + js) * self.eta
+        missing = 1.0 - float(p.sum())
+        if abs(missing) > 1e-12:
+            raise MeasureError(f"rounding lost mass {missing:g}")
+        keep = p > 0
+        super().__init__(list(zip(locs[keep].tolist(), (p[keep] / p[keep].sum()).tolist())))
 
     def tail_scale(self):
         return max(self.eta, self.base.tail_scale())
-
-    def mu(self, k):
-        return self._weights().mu(k)
-
-    def nu(self, r):
-        return self._weights().nu(r)
 
     def to_dict(self):
         return {"family": "rounded", "eta": self.eta, "alpha": self.alpha,
@@ -949,8 +917,7 @@ class HistogramLaw(LawSpec):
 
     def _cells(self):
         """(centers, masses): the rounded law's own arrays, not to be written."""
-        cells = self._rounded._weights()
-        return cells._locs, cells._wts
+        return self._rounded._locs, self._rounded._wts
 
     def _cdf(self, x):
         centers, w = self._cells()
@@ -1287,10 +1254,6 @@ def law_from_dict(d: dict) -> LawSpec:
 
 
 # -- transforms ---------------------------------------------------------------
-
-def centre(P: LawSpec) -> LawSpec:
-    return affine(1.0, -P.mean, P)
-
 
 def reflect(P: LawSpec) -> LawSpec:
     return affine(-1.0, 0.0, P)

@@ -25,8 +25,8 @@ import numpy as np
 from .numerics import (DEFAULT_TOL, Tolerance, cumulative_integral,
                        golden_section, integrate, on_array, refine_grid,
                        scan_sign_changes, sign_roots, std_normal_cdf, std_normal_pdf)
-from .measures import (Affine, Atoms, Dirac, HistogramLaw, InfiniteMomentError,
-                       LawSpec, Normal, Rounded, SignedMeasure, Uniform,
+from .measures import (Affine, Atoms, Conv2, HistogramLaw, InfiniteMomentError,
+                       LawSpec, Normal, SignedMeasure, Uniform,
                        STANDARD_NORMAL, signed_diff, standardise)
 
 
@@ -114,7 +114,7 @@ def closed_stack_evaluator(law: LawSpec, k: int) -> Optional[Callable]:
         return lambda x: s ** (k - 1) * _stack_normal_std(k, (x - mu) / s)
     if isinstance(law, Uniform):
         return lambda x: _stack_uniform(k, law.a, law.b, x)
-    if isinstance(law, (Dirac, Atoms, Rounded)):
+    if isinstance(law, Atoms):           # roundings and diracs too
         return _AtomStack(law.atoms(), k)
     if isinstance(law, HistogramLaw):
         # F_k of a uniform cell of mass w on [lo, hi] is F_{k+1} of the atoms
@@ -189,22 +189,19 @@ def _integrated_cdfs(M: SignedMeasure, grid: np.ndarray, depth: int, tol: Tolera
                      engine: str) -> Tuple[List[Callable], float, str]:
     """(levels, err_est, method): the vectorized F_1 .. F_depth of M.
 
-    With engine "auto" or "closed" they are the closed forms when every
-    term of M has one (method "closed_form", err_est a rounding allowance
-    of 1e-14 * max(1, nu_0 of M)); otherwise, or with engine "quadrature",
+    With engine "auto" they are the closed forms when every term of M has
+    one (method "closed_form", err_est a rounding allowance of
+    1e-14 * max(1, nu_0 of M)); otherwise, or with engine "quadrature",
     F_1 = M.cdf and each further level is the cumulative_integral of the
     one before on ``grid`` (method "quadrature", err_est the summed bounds
-    of the levels).  Raises MetricError for engine "closed" when a term
-    has no closed form, and for any other engine name.
+    of the levels).  Raises MetricError for any other engine name.
     """
-    if engine not in ("auto", "closed", "quadrature"):
-        raise MetricError(f"engine must be 'auto', 'closed' or 'quadrature', got {engine!r}")
+    if engine not in ("auto", "quadrature"):
+        raise MetricError(f"engine must be 'auto' or 'quadrature', got {engine!r}")
     closed = [closed_measure_stack(M, k) for k in range(1, depth + 1)] \
-        if engine != "quadrature" else [None]
+        if engine == "auto" else [None]
     if all(c is not None for c in closed):
         return closed, 1e-14 * max(1.0, M.nu_upper(0)), "closed_form"
-    if engine == "closed":
-        raise MetricError("closed-form stack unavailable for this measure")
     levels, err, tail = [M.cdf], 0.0, 1e-15 * M.tail_scale()
     for _ in range(depth - 1):
         h, h_err = cumulative_integral(levels[-1], grid, tail, sign=-1, tol=tol)
@@ -352,20 +349,24 @@ def lambda_1(M: SignedMeasure) -> float:
     return -v
 
 
-def kolmogorov(M: SignedMeasure, tol: Tolerance = DEFAULT_TOL,
-               n_base: int = 2048) -> MetricValue:
+def kolmogorov(M: SignedMeasure, tol: Tolerance = DEFAULT_TOL) -> MetricValue:
     """sup_x |F_M(x)| (with left limits at atoms) for mass-zero M.
 
     The largest |F_M| on a dense grid and at both limits of every atom;
     when M has a density, the four highest interior local maxima of the
     grid are polished by one lockstep golden_section call, so each search
-    step is one vectorized M.cdf call for all of them.
+    step is one vectorized M.cdf call for all of them.  The grid has 2048
+    base points, or 96 when a term of M is a Conv2 or an affine image of
+    one: its cdf costs a quadrature per point, and the polish makes up for
+    the coarse grid on the smooth F_M of a convolution.
     """
     if abs(M.mass()) > 1e-10:
         raise MassNotZeroError(f"kolmogorov needs M(R) = 0, got {M.mass():.3e}")
     if not M.terms or all(c == 0 for c, _ in M.terms):
         return MetricValue(0.0, 0.0, "closed_form")
-    grid = metric_grid(M, n_base=n_base)
+    conv2 = any(isinstance(law.base if isinstance(law, Affine) else law, Conv2)
+                for _, law in M.terms)
+    grid = metric_grid(M, n_base=96 if conv2 else 2048)
     dense = refine_grid(grid, 6)
     vals = np.abs(M.cdf(dense))
     best = float(np.max(vals))

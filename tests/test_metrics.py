@@ -86,7 +86,9 @@ class TestKappa:
         v = zm.kappa_r(M, 1.0, engine="quadrature")
         _, cum_err, _ = _integrated_cdfs(M, metric_grid(M), 2, zm.DEFAULT_TOL, "quadrature")
         assert v.err_est >= cum_err
-        assert v.err_est >= abs(v.value - zm.kappa_r(M, 1.0, engine="closed").value)
+        closed = zm.kappa_r(M, 1.0)
+        assert closed.method == "closed_form"
+        assert v.err_est >= abs(v.value - closed.value)
         # here the cumulative's error is tiny; a large one must show too
         def loose(*args, **kw):
             h, _ = zm.cumulative_integral(*args, **kw)
@@ -95,11 +97,8 @@ class TestKappa:
         assert zm.kappa_r(M, 1.0, engine="quadrature").err_est >= 1e-3
 
     def test_engine_names(self):
-        # a closed engine without a closed stack, and an unknown engine, raise
-        # instead of falling back to quadrature
+        # an unknown engine raises instead of falling back to quadrature
         M = zm.signed_diff(zm.standardise(zm.gamma_power(3.0)), zm.STANDARD_NORMAL)
-        with pytest.raises(MetricError, match="closed-form stack unavailable"):
-            zm.kappa_r(M, 1.0, engine="closed")
         for metric in (lambda: zm.kappa_r(M, 1.0, engine="bogus"),
                        lambda: zm.zeta_r(M, 1, engine="bogus"),
                        lambda: zm.zeta_r(M, 3, engine="bogus")):

@@ -172,7 +172,7 @@ def test_lockstep_golden_section_matches_loop(fns, brackets, tol, max_iter):
 
 def test_kolmogorov_polish_is_one_call_per_step(monkeypatch):
     """kolmogorov(M * M) for Zolotarev's M polishes its candidate maxima
-    together: one M.cdf call per search step, on the 193 points that one
+    together: one M.cdf call per search step, on the 212 points that one
     search per candidate sees in as many calls; the sup stays 1/4."""
     from zetametrics import metrics
     from zetametrics.paper_tables import zolotarev_measure
@@ -187,7 +187,7 @@ def test_kolmogorov_polish_is_one_call_per_step(monkeypatch):
 
     monkeypatch.setattr(metrics, "golden_section", recording)
     MM.cdf = lambda x: sizes.append(np.size(x)) or cdf(x)
-    v = zm.kolmogorov(MM, n_base=384)
+    v = zm.kolmogorov(MM)
     assert v.value.hex() == "0x1.0000000000000p-2"
     polish = sizes[first[0]:]
     lone = []
@@ -195,7 +195,7 @@ def test_kolmogorov_polish_is_one_call_per_step(monkeypatch):
         calls = []
         scalar_golden_section(lambda t: calls.append(t) or -abs(float(cdf(t))), lo, hi, tol=1e-13)
         lone.append(len(calls))
-    assert len(brackets) == 4 and sum(lone) == 193
+    assert len(brackets) == 4 and sum(lone) == 212
     assert sum(polish) == sum(lone) and polish[0] == 2 * len(brackets)
     assert len(polish) == max(lone) - 1 <= 201       # max_iter + 1
 
