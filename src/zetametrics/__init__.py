@@ -12,8 +12,7 @@ from .numerics import (Tolerance, DEFAULT_TOL, integrate,
                        std_normal_quantile, reg_incomplete_gamma)
 from .measures import (LawSpec, SignedMeasure, Atoms, Bernoulli,
                        Dirac, GammaPower, HistogramLaw, Lattice, Mixture,
-                       Normal, Rounded, SubbotinLaw, TruncatedNormalLeft,
-                       Uniform, WinsorisedNormalLeft, affine, atoms_law,
+                       Normal, Rounded, SubbotinLaw, Uniform, affine, atoms_law,
                        bernoulli, conv2_law, convolve_signed, dirac,
                        gamma_power, histogram, law_from_dict, lattice_span,
                        truncated_normal_left, winsorised_normal_left,

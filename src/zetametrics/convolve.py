@@ -22,11 +22,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .numerics import DEFAULT_TOL, Tolerance, std_normal_cdf, std_normal_pdf
-from .measures import (Atoms, LawSpec, STANDARD_NORMAL, conv2_law,
+from .measures import (MAX_LATTICE_ENTRIES, Atoms, LawSpec, STANDARD_NORMAL, conv2_law,
                        lattice_span, signed_diff, standardise)
 from .metrics import MetricValue, kolmogorov
-
-MAX_LATTICE_ENTRIES = 100_000_000
 # powers with at most this many entries are convolved directly; past it,
 # the base is squared directly while it stays within it, then FFT-powered
 _DIRECT_CAP = 4096

@@ -2,13 +2,13 @@
 
 A ``LawSpec`` is an immutable constructor tree for a probability law on
 the real line: elementary families (dirac, atoms, lattice, bernoulli,
-normal, uniform, truncated/winsorised normal, power-transformed gamma,
-Subbotin) plus structural nodes (mixture, affine image, rounding,
-histogram, two-fold convolution).  Every law exposes exact CDF / left
-CDF evaluation, its atom list and continuous density, moments, and an
-effective support window.  ``SignedMeasure`` is a finite real linear
-combination of laws and a ``LawSpec`` itself; ``Mixture`` is the signed
-measure whose coefficients are probability weights.
+normal, uniform, power-transformed gamma, Subbotin) plus structural
+nodes (mixture, affine image, rounding, histogram, truncation, two-fold
+convolution).  Every law exposes exact CDF / left CDF evaluation, its
+atom list and continuous density, moments, and an effective support
+window.  ``SignedMeasure`` is a finite real linear combination of laws
+and a ``LawSpec`` itself; ``Mixture`` is the signed measure whose
+coefficients are probability weights.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .numerics import (DEFAULT_TOL, DomainError, Tolerance, find_root,
 ATOM_MERGE_RTOL = 1e-12
 SUPPORT_EPS = 1e-15
 ROUNDING_TAIL_MASS = 1e-14    # base mass a rounding may leave outside its cells
+MAX_LATTICE_ENTRIES = 100_000_000   # cells of a rounding, entries of a lattice power
 
 
 class MeasureError(Exception):
@@ -40,38 +41,6 @@ class DegenerateLawError(MeasureError):
 
 class InfiniteMomentError(MeasureError):
     pass
-
-
-# -- closed-form helpers -----------------------------------------------------
-
-def normal_upper_moment(k: int, a: float) -> float:
-    """integral of x^k phi(x) over [a, inf)."""
-    sf = 1.0 - std_normal_cdf(a)
-    p = std_normal_pdf(a)
-    if k == 0:
-        return sf
-    if k == 1:
-        return p
-    if k == 2:
-        return a * p + sf
-    if k == 3:
-        return (a * a + 2.0) * p
-    if k == 4:
-        return (a ** 3 + 3.0 * a) * p + 3.0 * sf
-    raise DomainError(f"normal_upper_moment supports k <= 4, got {k}")
-
-
-def normal_abs_window_moment(r: int, a: float, b: float) -> float:
-    """integral of |x|^r phi(x) over [a, b], for integer r in 0..4."""
-    def signed(lo, hi):
-        # integral of x^r phi over [lo, hi] with lo >= 0
-        return normal_upper_moment(r, lo) - normal_upper_moment(r, hi)
-
-    if a >= 0:
-        return signed(a, b)
-    if b <= 0:
-        return signed(-b, -a)
-    return signed(0.0, -a) + signed(0.0, b)
 
 
 # -- base class ---------------------------------------------------------------
@@ -322,7 +291,8 @@ class Normal(LawSpec):
         return True
 
     def support(self, eps=SUPPORT_EPS):
-        q = abs(std_normal_quantile(min(max(eps, 1e-300), 0.5)))
+        # the floor sits below 1e-300: a truncation asks for 1e-300 of its own mass
+        q = abs(std_normal_quantile(min(max(eps, 1e-305), 0.5)))
         return (self.mu_loc - q * self.sigma, self.mu_loc + q * self.sigma)
 
     def tail_scale(self):
@@ -341,6 +311,23 @@ class Normal(LawSpec):
         if k == 4:
             return m ** 4 + 6 * m * m * s * s + 3 * s ** 4
         raise DomainError("mu supports k <= 4")
+
+    def partial_mu(self, k: int, x: float) -> float:
+        """E[X^k; X <= x] for k in 0..4: the binomial expansion in mu_loc and
+        sigma of the standard normal's E[Z^j; Z <= z] from Phi(z) and phi(z).
+        Saturates for |z| > 40, as std_normal_cdf does."""
+        if not 0 <= k <= 4:
+            raise DomainError("partial_mu supports k <= 4")
+        z = (x - self.mu_loc) / self.sigma
+        if z < -40.0:
+            low = [0.0] * 5
+        elif z > 40.0:
+            low = [1.0, 0.0, 1.0, 0.0, 3.0]
+        else:
+            c, p = std_normal_cdf(z), std_normal_pdf(z)
+            low = [c, -p, c - z * p, -(z * z + 2.0) * p, 3.0 * c - (z ** 3 + 3.0 * z) * p]
+        m, s = self.mu_loc, self.sigma
+        return sum(math.comb(k, j) * m ** (k - j) * s ** j * low[j] for j in range(k + 1))
 
     def nu(self, r):
         if r == 0:
@@ -404,97 +391,6 @@ class Uniform(LawSpec):
 
     def to_dict(self):
         return {"family": "uniform", "a": self.a, "b": self.b}
-
-
-@dataclass(frozen=True, eq=False)
-class TruncatedNormalLeft(LawSpec):
-    """Standard normal conditioned on (-t, inf)."""
-
-    t: float
-    family = "truncated_normal_left"
-
-    @property
-    def _z(self) -> float:
-        return 1.0 - std_normal_cdf(-self.t)
-
-    def _cdf(self, x):
-        out = np.clip((std_normal_cdf(x) - std_normal_cdf(-self.t)) / self._z, 0.0, 1.0)
-        return np.where(x < -self.t, 0.0, out)
-
-    def _pdf(self, x):
-        return np.where(x > -self.t, std_normal_pdf(x) / self._z, 0.0)
-
-    @property
-    def has_density(self):
-        return True
-
-    def density_breakpoints(self):
-        return [-self.t]
-
-    def support(self, eps=SUPPORT_EPS):
-        # the upper tail quantile by symmetry: 1 - eps rounds to 1 for tiny eps
-        return (-self.t, -std_normal_quantile(self._z * min(max(eps, 1e-300), 0.5)))
-
-    def tail_scale(self):
-        return 1.0
-
-    def mu(self, k):
-        if k == 0:
-            return 1.0
-        return normal_upper_moment(k, -self.t) / self._z
-
-    def nu(self, r):
-        if r == 0:
-            return 1.0
-        lo, hi = -self.t, 60.0
-        return normal_abs_window_moment(r, lo, hi) / self._z
-
-    def to_dict(self):
-        return {"family": "truncated_normal_left", "t": self.t}
-
-
-@dataclass(frozen=True, eq=False)
-class WinsorisedNormalLeft(LawSpec):
-    """Phi(-t) delta_{-t} + N restricted to (-t, inf)."""
-
-    t: float
-    family = "winsorised_normal_left"
-
-    def _cdf(self, x):
-        return np.where(x >= -self.t, std_normal_cdf(np.maximum(x, -self.t)), 0.0)
-
-    def _pdf(self, x):
-        return np.where(x > -self.t, std_normal_pdf(x), 0.0)
-
-    @property
-    def has_density(self):
-        return True
-
-    def atoms(self):
-        return [(-self.t, std_normal_cdf(-self.t))]
-
-    def density_breakpoints(self):
-        return [-self.t]
-
-    def support(self, eps=SUPPORT_EPS):
-        return (-self.t, -std_normal_quantile(min(max(eps, 1e-300), 0.5)))
-
-    def tail_scale(self):
-        return 1.0
-
-    def mu(self, k):
-        if k == 0:
-            return 1.0
-        return (-self.t) ** k * std_normal_cdf(-self.t) + normal_upper_moment(k, -self.t)
-
-    def nu(self, r):
-        if r == 0:
-            return 1.0
-        return (abs(self.t) ** r * std_normal_cdf(-self.t)
-                + normal_abs_window_moment(r, -self.t, 60.0))
-
-    def to_dict(self):
-        return {"family": "winsorised_normal_left", "t": self.t}
 
 
 @dataclass(frozen=True, eq=False)
@@ -584,7 +480,7 @@ class GammaPower(LawSpec):
             return 0.0
         full = self.nu(k)
         a_shift = self.alpha + k / self.beta
-        p = reg_incomplete_gamma(a_shift, self.lam * x ** self.beta)
+        p = reg_incomplete_gamma(a_shift, self.lam * self._power(np.float64(x)))
         return full * (p if self.beta > 0 else 1.0 - p)
 
     def mu(self, k):
@@ -743,6 +639,7 @@ class Mixture(SignedMeasure):
         super().__init__(parts)
 
     def support(self, eps=SUPPORT_EPS):
+        eps = max(eps, 1e-300)          # the floor of the parts, in this law's mass
         los, his = zip(*(law.support(min(eps / w, 0.4)) for w, law in self.terms))
         return (min(los), max(his))
 
@@ -874,6 +771,9 @@ class Rounded(Atoms):
         lo, hi = base.support(ROUNDING_TAIL_MASS / 4.0)
         j_lo = math.floor(lo / self.eta - self.alpha + 0.5) - 1
         j_hi = math.ceil(hi / self.eta - self.alpha - 0.5) + 1
+        if j_hi - j_lo + 1 > MAX_LATTICE_ENTRIES:
+            raise MeasureError(f"rounding at eta={eta:g} needs {j_hi - j_lo + 1:.3g} "
+                               f"cells, more than {MAX_LATTICE_ENTRIES:.0e}")
         js = np.arange(j_lo, j_hi + 1)
         edges = (self.alpha + js[0] - 0.5 + np.arange(js.size + 1)) * self.eta
         p = np.diff(base.cdf(edges))
@@ -991,18 +891,19 @@ class Truncated(LawSpec):
         self.base = base
         self.a = float(a)
         self.b = float(b)
-        self._z = float(base.cdf(self.b)) - float(base.cdf(self.a))
+        self._fa = float(base.cdf(self.a))
+        self._z = float(base.cdf(self.b)) - self._fa
         if self._z <= 0:
             raise DomainError("truncation window has zero mass")
 
     def _cdf(self, x):
-        fa = float(self.base.cdf(self.a))
-        out = np.clip((self.base.cdf(np.clip(x, self.a, self.b)) - fa) / self._z, 0.0, 1.0)
-        return np.where(x < self.a, 0.0, np.where(x >= self.b, 1.0, out))
+        # x is already a 1-D array; the clip gives 0 below a, where F <= F(a)
+        out = np.clip((self.base._cdf(x) - self._fa) / self._z, 0.0, 1.0)
+        return np.where(x >= self.b, 1.0, out)
 
     def _pdf(self, x):
         inside = (x > self.a) & (x <= self.b)
-        return np.where(inside, self.base.pdf(x) / self._z, 0.0)
+        return np.where(inside, self.base._pdf(x) / self._z, 0.0)
 
     @property
     def has_density(self):
@@ -1014,24 +915,42 @@ class Truncated(LawSpec):
 
     def density_breakpoints(self):
         inner = [c for c in self.base.density_breakpoints() if self.a < c < self.b]
-        return sorted({self.a, self.b, *inner})
+        return sorted({*(e for e in (self.a, self.b) if math.isfinite(e)), *inner})
 
     def density_singularities(self):
         return [s for s in self.base.density_singularities()
                 if self.a <= s <= self.b]
 
     def support(self, eps=SUPPORT_EPS):
-        lo, hi = self.base.support(eps * self._z)
+        lo, hi = self.base.support(max(eps, 1e-300) * self._z)
         return (max(lo, self.a), min(hi, self.b))
 
     def tail_scale(self):
         return min(self.base.tail_scale(), self.b - self.a)
 
+    def _moment(self, k: int, absolute: bool) -> float:
+        """E[X^k | a < X <= b], or of |X|^k, from window differences of the
+        base's closed partial moments, the window split at 0 for |X|^k;
+        quadrature when the base has none or its moment k is infinite."""
+        if k == 0:
+            return 1.0
+        if hasattr(self.base, "partial_mu"):
+            pm, a, b = self.base.partial_mu, self.a, self.b
+            try:
+                if not absolute:
+                    return (pm(k, b) - pm(k, a)) / self._z
+                neg = pm(k, min(b, 0.0)) - pm(k, a) if a < 0 else 0.0
+                pos = pm(k, b) - pm(k, max(a, 0.0)) if b > 0 else 0.0
+                return ((-1) ** k * neg + pos) / self._z
+            except InfiniteMomentError:
+                pass
+        return self._moment_quad(k, absolute)
+
     def mu(self, k):
-        return self._moment_quad(k, absolute=False)
+        return self._moment(k, absolute=False)
 
     def nu(self, r):
-        return self._moment_quad(r, absolute=True)
+        return self._moment(r, absolute=True)
 
     def to_dict(self):
         return {"family": "truncated", "a": self.a, "b": self.b,
@@ -1185,12 +1104,19 @@ def uniform(a: float, b: float) -> Uniform:
     return Uniform(a, b)
 
 
-def truncated_normal_left(t: float) -> TruncatedNormalLeft:
-    return TruncatedNormalLeft(t)
+def truncated_normal_left(t: float) -> Truncated:
+    """The standard normal conditioned on (-t, inf)."""
+    return Truncated(STANDARD_NORMAL, -t, math.inf)
 
 
-def winsorised_normal_left(t: float) -> WinsorisedNormalLeft:
-    return WinsorisedNormalLeft(t)
+def winsorised_normal_left(t: float) -> Mixture:
+    """The standard normal winsorised at -t: Phi(-t) delta_{-t} plus the
+    normal's mass on (-t, inf); a part of weight 0 is left out."""
+    p = std_normal_cdf(-t)
+    parts = [(p, Dirac(-t))]
+    if p < 1.0:
+        parts.append((1.0 - p, truncated_normal_left(t)))
+    return Mixture(parts)
 
 
 def gamma_power(alpha: float, lam: float = 1.0, beta: float = 1.0) -> GammaPower:
@@ -1226,9 +1152,9 @@ def law_from_dict(d: dict) -> LawSpec:
     if fam == "uniform":
         return Uniform(float(d["a"]), float(d["b"]))
     if fam == "truncated_normal_left":
-        return TruncatedNormalLeft(float(d["t"]))
+        return truncated_normal_left(float(d["t"]))
     if fam == "winsorised_normal_left":
-        return WinsorisedNormalLeft(float(d["t"]))
+        return winsorised_normal_left(float(d["t"]))
     if fam == "gamma_power":
         return GammaPower(float(d["alpha"]), float(d.get("lambda", 1.0)),
                           float(d.get("beta", 1.0)))

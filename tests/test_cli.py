@@ -66,6 +66,14 @@ class TestMetricCommand:
     def test_parse_error_exit_2(self):
         assert cli.main(["metric", "--spec", "not-json", "--metric", "K"]) == 2
 
+    def test_rounding_over_cell_budget_exit_2(self, capsys):
+        # the inverse square root of a gamma(1/2) law reaches 1e14 at 1e-14
+        # of its mass; rounded at 0.01 that is some 4e16 cells
+        spec = json.dumps({"family": "rounded", "eta": 0.01, "alpha": 0,
+                           "base": {"family": "gamma_power", "alpha": 0.5, "beta": -2}})
+        assert cli.main(["metric", "--spec", spec, "--metric", "K"]) == 2
+        assert "cells" in capsys.readouterr().err
+
     def test_precondition_exit_3(self, capsys):
         # zeta_4 of a skewed standardised law violates mu_3 = 0
         spec = json.dumps({"family": "affine",

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import zetametrics as zm
-from zetametrics.measures import (DegenerateLawError, InfiniteMomentError,
-                                  normal_upper_moment)
+from zetametrics.measures import DegenerateLawError, InfiniteMomentError
 
 RNG = np.random.default_rng(7)
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -150,7 +149,7 @@ class TestMoments:
         assert abs(T.mu(1) - phi_t / z) < 1e-14
         # integral of x^3 phi over (-t, inf) equals (t^2 + 2) phi(t)
         assert abs(T.mu(3) - (t * t + 2) * phi_t / z) < 1e-13
-        assert abs(normal_upper_moment(3, -t) - (t * t + 2) * phi_t) < 1e-15
+        assert abs(-zm.normal().partial_mu(3, -t) - (t * t + 2) * phi_t) < 1e-15
 
     def test_subbotin_moments(self):
         S = zm.subbotin(1.0)   # two-sided exponential
@@ -195,6 +194,86 @@ class TestMoments:
                 for r in (1, 2, 3):
                     assert abs(img.nu(r) - abs(c) ** r * law.nu(r)) \
                         <= 1e-9 * max(1.0, law.nu(r))
+
+
+def mp_window_moment(k, absolute, a, b, m=0.0, s=1.0):
+    """E[X^k | a < X <= b] (of |X|^k if absolute) for X ~ N(m, s^2), in mpmath."""
+    import mpmath as mp
+    mp.mp.dps = 30
+    a, b, m, s = (mp.mpf(v) for v in (a, b, m, s))
+    pts = sorted({a, b, *(c for c in (m, mp.mpf(0)) if a < c < b)})
+    f = (lambda x: abs(x) ** k) if absolute else (lambda x: x ** k)
+    num = mp.quad(lambda x: f(x) * mp.npdf(x, m, s), pts)
+    return num / (mp.ncdf(b, m, s) - mp.ncdf(a, m, s))
+
+
+class TestPartialMoments:
+    """Normal.partial_mu and the Truncated moments built on it."""
+
+    def test_normal_partial_mu_against_mpmath(self):
+        import mpmath as mp
+        N = zm.normal(0.5, 2.0)
+        for x in (-7.0, -1.0, 0.5, 3.0, 9.0):
+            for k in range(5):
+                want = float(mp_window_moment(k, False, -mp.inf, x, 0.5, 2.0)
+                             * mp.ncdf(x, 0.5, 2.0))
+                assert abs(N.partial_mu(k, x) - want) <= 1e-15 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("t", [-0.5, 0.0, 1.5, 4.0])
+    def test_truncated_and_winsorised_moments_against_mpmath(self, t):
+        import mpmath as mp
+        p = float(mp.ncdf(-t))
+        for k in range(5):
+            for absolute, moment in ((False, "mu"), (True, "nu")):
+                tail = float(mp_window_moment(k, absolute, -t, mp.inf))
+                atom = abs(t) ** k if absolute else (-t) ** k
+                for law, want in ((zm.truncated_normal_left(t), tail),
+                                  (zm.winsorised_normal_left(t), p * atom + (1 - p) * tail)):
+                    got = getattr(law, moment)(k)
+                    assert abs(got - want) <= 2e-15 * max(1.0, abs(want)), (law, moment, k)
+
+    def test_window_moments_against_mpmath_and_quadrature(self):
+        T = zm.truncate(zm.normal(0.5, 2.0), -1.0, 3.0)
+        for k in range(5):
+            for absolute, moment in ((False, T.mu), (True, T.nu)):
+                want = float(mp_window_moment(k, absolute, -1.0, 3.0, 0.5, 2.0))
+                assert abs(moment(k) - want) <= 1e-15 * max(1.0, abs(want))
+                # the quadrature path the closed form replaced still agrees
+                assert abs(T._moment_quad(k, absolute) - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("x", [1e200, -1e200, math.inf, -math.inf])
+    def test_normal_partial_mu_saturates(self, x):
+        for N in (zm.normal(), zm.normal(0.5, 2.0)):
+            got = [N.partial_mu(k, x) for k in range(5)]
+            assert got == ([N.mu(k) for k in range(5)] if x > 0 else [0.0] * 5)
+        T = zm.truncate(zm.normal(), -1e200, 1e200)
+        assert [T.mu(k) for k in range(5)] == [zm.normal().mu(k) for k in range(5)]
+        assert [T.nu(k) for k in range(5)] == [zm.normal().nu(k) for k in range(5)]
+
+    def test_infinite_base_moment_takes_quadrature(self):
+        # nu_3 of the inverse gamma of shape 2 is infinite, so partial_mu
+        # raises; on a bounded window the moment is finite
+        G = zm.gamma_power(2.0, 1.0, -1.0)
+        with pytest.raises(InfiniteMomentError):
+            G.partial_mu(3, 5.0)
+        assert abs(zm.truncate(G, 1.0, 5.0).nu(3) - 11.03489603039669) < 1e-12
+
+    def test_inverse_gamma_partial_mu_at_tiny_x(self):
+        # x ** beta of a Python float overflows for a tiny x when beta < 0
+        P = zm.affine(1.0, -1e-310, zm.gamma_power(2.0, 1.0, -1.0))
+        assert abs(P.nu(1) - 1.0) < 1e-12
+
+    def test_factories_build_general_laws(self):
+        for t in (-0.5, 1.5, 40.0):
+            T = zm.law_from_dict({"family": "truncated_normal_left", "t": t})
+            assert T == zm.truncated_normal_left(t) and T.to_dict()["family"] == "truncated"
+        with pytest.raises(zm.numerics.DomainError):
+            zm.truncated_normal_left(-40.0)     # (40, inf) has no normal mass in floats
+        for t in (-40.0, -0.5, 1.5, 40.0):
+            # a part of weight 0 is left out
+            W = zm.law_from_dict({"family": "winsorised_normal_left", "t": t})
+            assert W == zm.winsorised_normal_left(t) and W.to_dict()["family"] == "mixture"
+            assert abs(W.mu(0) - 1.0) < 1e-15 and math.isfinite(W.nu(3))
 
 
 class TestTransforms:
