@@ -57,7 +57,7 @@ def parse_spec(text: str) -> LawSpec:
             text = fh.read()
     try:
         return law_from_dict(json.loads(text))
-    except (json.JSONDecodeError, KeyError, TypeError, MeasureError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, MeasureError, DomainError) as exc:
         raise SpecParseError(str(exc)) from exc
 
 

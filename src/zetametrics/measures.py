@@ -6,9 +6,16 @@ normal, uniform, power-transformed gamma, Subbotin) plus structural
 nodes (mixture, affine image, rounding, histogram, truncation, two-fold
 convolution).  Every law exposes exact CDF / left CDF evaluation, its
 atom list and continuous density, moments, and an effective support
-window.  ``SignedMeasure`` is a finite real linear combination of laws
-and a ``LawSpec`` itself; ``Mixture`` is the signed measure whose
-coefficients are probability weights.
+window.  Moments rest on one primitive, the closed partial moment
+E[X^k; X <= x] (``partial_mu``) of the normal, uniform, gamma_power and
+histogram laws and of truncations and affine images of these: mu_k is
+its value at x = inf, and nu_r is mu_r for even r and
+mu_r - 2 E[X^r; X <= 0] for odd r.  Exact closed full moments (of the
+atomic, normal, gamma, Subbotin, mixture and two-fold convolution laws)
+stand in for it; any other moment is integrated.  ``SignedMeasure`` is a
+finite real linear combination of laws and a ``LawSpec`` itself;
+``Mixture`` is the signed measure whose coefficients are probability
+weights.
 """
 
 from __future__ import annotations
@@ -22,8 +29,7 @@ import numpy as np
 
 from .numerics import (DEFAULT_TOL, DomainError, Tolerance, find_root,
                        gamma_ratio, integrate, on_array, reg_incomplete_gamma,
-                       std_normal_cdf, std_normal_pdf, std_normal_quantile,
-                       INV_SQRT_2PI)
+                       std_normal_cdf, std_normal_pdf, std_normal_quantile)
 
 ATOM_MERGE_RTOL = 1e-12
 SUPPORT_EPS = 1e-15
@@ -111,14 +117,30 @@ class LawSpec:
         lo, hi = self.support(1e-6)
         return max(1.0, 0.1 * (hi - lo))
 
-    # -- moments
-    def mu(self, k: int) -> float:
-        """Signed moment E X^k for k in 0..4."""
+    # -- moments: from partial_mu where a law has one, else by quadrature
+    def partial_mu(self, k: int, x: float) -> float:
+        """Partial moment E[X^k; X <= x] for k in 0..4, in closed form."""
         raise NotImplementedError
 
+    def mu(self, k: int) -> float:
+        """Signed moment E X^k for k in 0..4."""
+        if k == 0:
+            return 1.0
+        try:
+            return self.partial_mu(k, math.inf)
+        except NotImplementedError:
+            return self._moment_quad(k, absolute=False)
+
     def nu(self, r: int) -> float:
-        """Absolute moment E |X|^r for integer r in 0..4."""
-        raise NotImplementedError
+        """Absolute moment E |X|^r for integer r in 0..4: mu(r) for even r,
+        mu(r) - 2 E[X^r; X <= 0] for odd r."""
+        if r % 2 == 0:
+            return self.mu(r)
+        try:
+            below = self.partial_mu(r, 0.0)
+        except NotImplementedError:
+            return self._moment_quad(r, absolute=True)
+        return self.mu(r) - 2.0 * below
 
     @property
     def mean(self) -> float:
@@ -310,14 +332,15 @@ class Normal(LawSpec):
             return m ** 3 + 3 * m * s * s
         if k == 4:
             return m ** 4 + 6 * m * m * s * s + 3 * s ** 4
-        raise DomainError("mu supports k <= 4")
+        return super().mu(k)
 
     def partial_mu(self, k: int, x: float) -> float:
         """E[X^k; X <= x] for k in 0..4: the binomial expansion in mu_loc and
         sigma of the standard normal's E[Z^j; Z <= z] from Phi(z) and phi(z).
-        Saturates for |z| > 40, as std_normal_cdf does."""
+        Saturates for |z| > 40, as std_normal_cdf does.  Higher orders are
+        left to quadrature."""
         if not 0 <= k <= 4:
-            raise DomainError("partial_mu supports k <= 4")
+            raise NotImplementedError
         z = (x - self.mu_loc) / self.sigma
         if z < -40.0:
             low = [0.0] * 5
@@ -328,21 +351,6 @@ class Normal(LawSpec):
             low = [c, -p, c - z * p, -(z * z + 2.0) * p, 3.0 * c - (z ** 3 + 3.0 * z) * p]
         m, s = self.mu_loc, self.sigma
         return sum(math.comb(k, j) * m ** (k - j) * s ** j * low[j] for j in range(k + 1))
-
-    def nu(self, r):
-        if r == 0:
-            return 1.0
-        if self.mu_loc == 0.0:
-            s = self.sigma
-            if r == 1:
-                return 2.0 * INV_SQRT_2PI * s
-            if r == 2:
-                return s * s
-            if r == 3:
-                return 4.0 * INV_SQRT_2PI * s ** 3
-            if r == 4:
-                return 3.0 * s ** 4
-        return self._moment_quad(r, absolute=True)
 
     def to_dict(self):
         return {"family": "normal", "mu": self.mu_loc, "sigma": self.sigma}
@@ -377,17 +385,9 @@ class Uniform(LawSpec):
     def tail_scale(self):
         return self.b - self.a
 
-    def mu(self, k):
+    def partial_mu(self, k, x):
         a, b = self.a, self.b
-        return (b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a))
-
-    def nu(self, r):
-        a, b = self.a, self.b
-        if a >= 0:
-            return self.mu(r)
-        if b <= 0:
-            return abs((abs(a) ** (r + 1) - abs(b) ** (r + 1)) / ((r + 1) * (b - a))) if r else 1.0
-        return (abs(a) ** (r + 1) + b ** (r + 1)) / ((r + 1) * (b - a))
+        return (min(max(x, a), b) ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a))
 
     def to_dict(self):
         return {"family": "uniform", "a": self.a, "b": self.b}
@@ -693,38 +693,26 @@ class Affine(LawSpec):
     def tail_scale(self):
         return abs(self.c) * self.base.tail_scale()
 
-    def mu(self, k):
-        return sum(math.comb(k, j) * self.c ** j * self.d ** (k - j) * self.base.mu(j)
+    def _binomial(self, k, base_moment):
+        """E(cX + d)^k term by term, from base_moment(j) = E[X^j; ...]."""
+        return sum(math.comb(k, j) * self.c ** j * self.d ** (k - j) * base_moment(j)
                    for j in range(k + 1))
 
+    def mu(self, k):
+        return self._binomial(k, self.base.mu)
+
+    def partial_mu(self, k, x):
+        # cX + d <= x on {X <= y} when c > 0, on {X >= y} when c < 0; the
+        # partial moment goes first, so a base without one integrates nothing
+        y, base = self._pull(x), self.base
+        if self.c > 0:
+            return self._binomial(k, lambda j: base.partial_mu(j, y))
+        return self._binomial(k, lambda j: -base.partial_mu(j, y) + base.mu(j))
+
     def nu(self, r):
-        if r == 0:
-            return 1.0
         if self.d == 0.0:
             return abs(self.c) ** r * self.base.nu(r)
-        if not self.base.has_density:
-            return sum(w * abs(x) ** r for x, w in self.atoms())
-        if hasattr(self.base, "partial_mu"):
-            return self._nu_via_partials(r)
-        return self._moment_quad(r, absolute=True)
-
-    def _nu_via_partials(self, r: int) -> float:
-        # E|cX + d|^r through closed partial moments of the base,
-        # splitting at the sign change x* = -d/c
-        c, d = self.c, self.d
-        xs = -d / c
-        full = [self.base.mu(k) for k in range(r + 1)]
-        below = [self.base.partial_mu(k, xs) for k in range(r + 1)]
-        lo_part = 0.0
-        hi_part = 0.0
-        for k in range(r + 1):
-            coef = math.comb(r, k) * c ** k * d ** (r - k)
-            lo_part += coef * below[k]
-            hi_part += coef * (full[k] - below[k])
-        # cX + d < 0 exactly on {X < x*} when c > 0, on {X > x*} when c < 0
-        if c > 0:
-            return hi_part + (-1.0) ** r * lo_part
-        return lo_part + (-1.0) ** r * hi_part
+        return super().nu(r)
 
     def to_dict(self):
         return {"family": "affine", "c": self.c, "d": self.d,
@@ -854,25 +842,12 @@ class HistogramLaw(LawSpec):
     def tail_scale(self):
         return self._rounded.tail_scale()
 
-    def mu(self, k):
-        # cell-wise exact: uniform on cell of width eta around center c
+    def partial_mu(self, k, x):
+        # cell-wise exact: uniform on the cell of width eta, its top clipped at x
         centers, w = self._cells()
         h = self.eta / 2.0
-        vals = ((centers + h) ** (k + 1) - (centers - h) ** (k + 1)) / ((k + 1) * self.eta)
-        return float(np.sum(w * vals))
-
-    def nu(self, r):
-        centers, w = self._cells()
-        h = self.eta / 2.0
-        lo, hi = centers - h, centers + h
-        a, b = np.abs(lo), np.abs(hi)
-        straddle = (lo < 0) & (hi > 0)
-        vals = np.empty_like(centers)
-        vals[straddle] = (a[straddle] ** (r + 1) + b[straddle] ** (r + 1)) \
-            / ((r + 1) * self.eta)
-        mono = ~straddle
-        vals[mono] = np.abs(b[mono] ** (r + 1) - a[mono] ** (r + 1)) \
-            / ((r + 1) * self.eta)
+        top = np.clip(x, centers - h, centers + h)
+        vals = (top ** (k + 1) - (centers - h) ** (k + 1)) / ((k + 1) * self.eta)
         return float(np.sum(w * vals))
 
     def to_dict(self):
@@ -928,29 +903,15 @@ class Truncated(LawSpec):
     def tail_scale(self):
         return min(self.base.tail_scale(), self.b - self.a)
 
-    def _moment(self, k: int, absolute: bool) -> float:
-        """E[X^k | a < X <= b], or of |X|^k, from window differences of the
-        base's closed partial moments, the window split at 0 for |X|^k;
-        quadrature when the base has none or its moment k is infinite."""
-        if k == 0:
-            return 1.0
-        if hasattr(self.base, "partial_mu"):
-            pm, a, b = self.base.partial_mu, self.a, self.b
-            try:
-                if not absolute:
-                    return (pm(k, b) - pm(k, a)) / self._z
-                neg = pm(k, min(b, 0.0)) - pm(k, a) if a < 0 else 0.0
-                pos = pm(k, b) - pm(k, max(a, 0.0)) if b > 0 else 0.0
-                return ((-1) ** k * neg + pos) / self._z
-            except InfiniteMomentError:
-                pass
-        return self._moment_quad(k, absolute)
-
-    def mu(self, k):
-        return self._moment(k, absolute=False)
-
-    def nu(self, r):
-        return self._moment(r, absolute=True)
+    def partial_mu(self, k, x):
+        """The window difference of the base's partial moments over the
+        window's mass; a base moment that is infinite (though finite on the
+        window) leaves the moments to quadrature."""
+        pm, a = self.base.partial_mu, self.a
+        try:
+            return (pm(k, min(max(x, a), self.b)) - pm(k, a)) / self._z
+        except InfiniteMomentError:
+            raise NotImplementedError from None
 
     def to_dict(self):
         return {"family": "truncated", "a": self.a, "b": self.b,
@@ -1040,13 +1001,6 @@ class Conv2(LawSpec):
         # moments of a sum via the binomial expansion
         return sum(math.comb(k, j) * self.p.mu(j) * self.q.mu(k - j)
                    for j in range(k + 1))
-
-    def nu(self, r):
-        if r == 0:
-            return 1.0
-        if r % 2 == 0:
-            return self.mu(r)
-        return self._moment_quad(r, absolute=True)
 
     def to_dict(self):
         return {"family": "conv2", "p": self.p.to_dict(), "q": self.q.to_dict()}

@@ -158,9 +158,8 @@ def metric_grid(M: SignedMeasure, n_base: int = 2048,
     feats += [b for b in M.density_breakpoints() if lo < b < hi]
     feats += [0.0] if lo < 0.0 < hi else []
     base = np.linspace(lo, hi, n_base)
-    grid = np.unique(np.concatenate([base, np.asarray(feats, dtype=float),
-                                     [lo, hi]]))
-    # drop near-duplicates that would make panels degenerate
+    grid = np.sort(np.concatenate([base, np.asarray(feats, dtype=float), [lo, hi]]))
+    # drop repeats and near-duplicates that would make panels degenerate
     keep = np.concatenate([[True], np.diff(grid) > 1e-13 * max(1.0, abs(hi), abs(lo))])
     return grid[keep]
 
@@ -219,7 +218,8 @@ def _segment_points(M: SignedMeasure, fn: Callable,
     F_M takes its left limit: a lobe that ends at an atom is not merged
     into its neighbour."""
     atoms = [x for x, _ in M.atoms() if grid[0] < x < grid[-1]]
-    xs = np.union1d(refine_grid(grid, 6), np.nextafter(atoms, -np.inf))
+    # a point given twice adds no sign change, so the scan needs no np.unique
+    xs = np.sort(np.concatenate([refine_grid(grid, 6), np.nextafter(atoms, -np.inf)]))
     roots, band = sign_roots(fn, xs)
     return sorted(set(roots) | set(atoms)), band
 

@@ -364,9 +364,10 @@ def integrate(f: Callable, a, b, tol: Tolerance = DEFAULT_TOL,
     milder than |x - s|^(-5/6); a panel next to one, or next to an end
     where f is not finite, is integrated in t with x = s +- t^6 (and not
     probed at its centre).
-    Returns (value, err_est); err_est bounds the error only when every jump
-    of f is a declared breakpoint (an undeclared jump can leave the value
-    further off).  Raises ConvergenceError when a panel estimate is not
+    Returns (value, err_est).  err_est bounds the error only when every
+    jump of f is a declared breakpoint: across an undeclared jump the value
+    can be further off than err_est, and than tol.abs_tol, though the call
+    returns normally.  Raises ConvergenceError when a panel estimate is not
     finite, or when an integral's node budget runs out before its err_est
     is within max(abs_tol, rel_tol * |value|).
     """
@@ -719,9 +720,10 @@ def scan_sign_changes(values: np.ndarray, zero_band: float):
 
 
 def refine_grid(grid: np.ndarray, k: int) -> np.ndarray:
-    """Sorted ``grid`` plus k - 1 equally spaced interior points per panel."""
-    return np.unique(np.concatenate(
-        [grid] + [grid[:-1] + np.diff(grid) * j / k for j in range(1, k)]))
+    """Sorted ``grid`` plus k - 1 equally spaced interior points per panel,
+    without repeats (np.unique would import numpy.ma on its first call)."""
+    x = np.sort(np.concatenate([grid] + [grid[:-1] + np.diff(grid) * j / k for j in range(1, k)]))
+    return x[np.r_[True, x[1:] != x[:-1]]]
 
 
 def sign_roots(f: Callable, xs: np.ndarray) -> Tuple[List[float], float]:

@@ -63,8 +63,26 @@ class TestMetricCommand:
         assert rc == 0
         assert abs(float(out[0]["value"]) - 0.0249) < 1.5e-4
 
+    @pytest.mark.parametrize("metric,r", [("nu_r", "5"), ("kappa_r", "4.5")])
+    def test_order_above_four_against_default_normal(self, capsys, metric, r):
+        # the default --spec2 is the standard normal, whose moments of order
+        # above 4 come by quadrature
+        rc = cli.main(["metric", "--spec", '{"family":"uniform","a":-1,"b":1}',
+                       "--metric", metric, "--r", r, "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert math.isfinite(float(out[0]["value"]))
+
     def test_parse_error_exit_2(self):
         assert cli.main(["metric", "--spec", "not-json", "--metric", "K"]) == 2
+
+    @pytest.mark.parametrize("spec", [
+        '{"family":"uniform","a":1,"b":0}',
+        '{"family":"truncated","a":50,"b":60,"base":{"family":"normal"}}',
+        '{"family":"truncated_normal_left","t":-40}'])
+    def test_spec_outside_domain_exit_2(self, capsys, spec):
+        assert cli.main(["metric", "--spec", spec, "--metric", "K"]) == 2
+        assert "spec parse error" in capsys.readouterr().err
 
     def test_rounding_over_cell_budget_exit_2(self, capsys):
         # the inverse square root of a gamma(1/2) law reaches 1e14 at 1e-14

@@ -1,6 +1,10 @@
 """Special functions, quadrature, root search, sign counting."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,6 +429,29 @@ class TestSignChanges:
     def test_refine_grid_adds_interior_points(self):
         out = nm.refine_grid(np.array([0.0, 1.0, 3.0]), 4)
         assert out.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]
+
+    def test_refine_grid_drops_repeats(self):
+        # interior points of a one-ulp panel round onto its ends
+        grid = np.array([1.0, np.nextafter(1.0, 2.0)])
+        assert nm.refine_grid(grid, 4).tolist() == grid.tolist()
+        for _ in range(50):
+            g = np.sort(RNG.choice(RNG.normal(size=20), size=10, replace=False))
+            fine = np.concatenate([g] + [g[:-1] + np.diff(g) * j / 3 for j in (1, 2)])
+            assert nm.refine_grid(g, 3).tobytes() == np.unique(fine).tobytes()
+
+    def test_metric_grids_leave_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on its first call; the grid builders
+        # must not, or the first metric of a process pays for that import
+        code = ("import sys\n"
+                "from zetametrics import paper_tables\n"
+                "for t in ('subbotin', 'zolotarev_M'):\n"
+                "    assert paper_tables.compute(t)[1]\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        src = str(Path(nm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestFindRoot:
