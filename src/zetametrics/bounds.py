@@ -18,7 +18,7 @@ import numpy as np
 from .numerics import DEFAULT_TOL, Tolerance, golden_section
 from .measures import (LawSpec, STANDARD_NORMAL, lattice_span, signed_diff,
                        standardise)
-from .metrics import (kappa_r, nu_r_signed, zeta3_cut_criterion, zeta_r)
+from .metrics import kappa_r, nu_r_signed, zeta3_to_normal
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -193,19 +193,12 @@ def distance_profile(P: LawSpec, tol: Tolerance = DEFAULT_TOL) -> NormalDistance
     Pt = standardise(P)
     M = signed_diff(Pt, STANDARD_NORMAL)
     z1, k3 = (mv.value for mv in kappa_r(M, (1.0, 3.0), tol))
-    cut = zeta3_cut_criterion(P, tol)
-    if cut is not None:
-        z3 = cut.value
-        z3_method = cut.method
-    else:
-        mv = zeta_r(M, 3, tol)
-        z3 = mv.value
-        z3_method = mv.method
+    z3 = zeta3_to_normal(P, tol)
     nus = {r: nu_r_signed(M, r, tol).value for r in (0, 1, 2, 3)}
     return NormalDistanceProfile(
-        law=P, zeta1=z1, zeta3=z3, kappa1=z1, kappa3=k3,
+        law=P, zeta1=z1, zeta3=z3.value, kappa1=z1, kappa3=k3,
         nu3_std=Pt.nu(3), nu_diff=nus, mu3_std=Pt.mu(3),
-        span_std=lattice_span(Pt), zeta3_method=z3_method)
+        span_std=lattice_span(Pt), zeta3_method=z3.method)
 
 
 def _profile(P_or_prof, tol: Tolerance) -> NormalDistanceProfile:
@@ -394,7 +387,10 @@ ALL_BOUND_IDS = ("be_main", "be_main_all_n", "be_kappa", "be_zeta3_only",
 
 
 def all_bounds(P, n: int, tol: Tolerance = DEFAULT_TOL) -> Dict[str, BoundReport]:
-    """Every Kolmogorov-LHS bound (and the zeta_1-LHS ones) at once."""
+    """Every Kolmogorov-LHS bound (and the zeta_1-LHS ones) at once; raises
+    ValueError for n < 1."""
+    if n < 1:
+        raise ValueError(f"bounds need n >= 1, got n = {n}")
     prof = _profile(P, tol)
     return {
         "be_main": be_main(prof, n, tol),

@@ -27,7 +27,7 @@ from .measures import (LawSpec, MeasureError, law_from_dict, signed_diff,
 from .metrics import (MassNotZeroError, MetricError, MomentConditionError,
                       kappa_r, kolmogorov, nu_r_signed, zeta_r)
 from .convolve import ConvolveError, ModeError, clt_lhs
-from .bounds import ALL_BOUND_IDS, all_bounds, distance_profile
+from .bounds import ALL_BOUND_IDS, all_bounds
 from . import paper_tables
 
 EXIT_OK = 0
@@ -113,6 +113,8 @@ def cmd_metric(args) -> int:
     M = signed_diff(P, Q)
     r = args.r
     name = args.metric
+    if name in ("nu_r", "zeta_r") and not float(r).is_integer():
+        raise SpecParseError(f"{name} needs an integer --r, got {r:g}")
     if name == "K":
         mv = kolmogorov(M, args.tol)
     elif name == "nu_r":
@@ -132,18 +134,17 @@ def cmd_metric(args) -> int:
 
 def cmd_bounds(args) -> int:
     P = parse_spec(args.spec)
-    prof = distance_profile(P, args.tol)
     if args.bounds and not args.all_bounds:
         wanted = args.bounds.split(",")
     else:
         wanted = list(ALL_BOUND_IDS)
-    reports = all_bounds(prof, args.n, args.tol)
+    reports = all_bounds(P, args.n, args.tol)
     rows = []
     lhs_val: Optional[float] = None
     lhs_reason = ""
     try:
         lhs_val = clt_lhs(P, args.n, mode="exact_lattice").value
-    except (ConvolveError, ValueError) as exc:
+    except ConvolveError as exc:
         lhs_reason = str(exc)
     for bid in wanted:
         if bid not in reports:

@@ -112,11 +112,6 @@ class LawSpec:
     def support(self, eps: float = SUPPORT_EPS) -> Tuple[float, float]:
         raise NotImplementedError
 
-    def tail_scale(self) -> float:
-        """Characteristic decay length used in tail-error heuristics."""
-        lo, hi = self.support(1e-6)
-        return max(1.0, 0.1 * (hi - lo))
-
     # -- moments: from partial_mu where a law has one, else by quadrature
     def partial_mu(self, k: int, x: float) -> float:
         """Partial moment E[X^k; X <= x] for k in 0..4, in closed form."""
@@ -211,9 +206,6 @@ class Atoms(LawSpec):
     def support(self, eps=SUPPORT_EPS):
         return (float(self._locs[0]), float(self._locs[-1]))
 
-    def tail_scale(self):
-        return 1.0
-
     def mu(self, k):
         return float(np.sum(self._wts * self._locs ** k))
 
@@ -283,9 +275,6 @@ class Lattice(Atoms):
         locs = self.shift + self.span * (self.first_index + np.arange(w.size))
         super().__init__(list(zip(locs.tolist(), w.tolist())))
 
-    def tail_scale(self):
-        return max(1.0, self.span)
-
     def to_dict(self):
         return {"family": "lattice", "shift": self.shift, "span": self.span,
                 "first_index": self.first_index,
@@ -316,9 +305,6 @@ class Normal(LawSpec):
         # the floor sits below 1e-300: a truncation asks for 1e-300 of its own mass
         q = abs(std_normal_quantile(min(max(eps, 1e-305), 0.5)))
         return (self.mu_loc - q * self.sigma, self.mu_loc + q * self.sigma)
-
-    def tail_scale(self):
-        return self.sigma
 
     def mu(self, k):
         m, s = self.mu_loc, self.sigma
@@ -381,9 +367,6 @@ class Uniform(LawSpec):
 
     def support(self, eps=SUPPORT_EPS):
         return (self.a, self.b)
-
-    def tail_scale(self):
-        return self.b - self.a
 
     def partial_mu(self, k, x):
         a, b = self.a, self.b
@@ -463,9 +446,6 @@ class GammaPower(LawSpec):
         lo, hi = sorted((xlo, xhi))
         return (max(lo, 0.0) if self.beta > 0 else lo, hi)
 
-    def tail_scale(self):
-        return max(1.0, self.nu(1))
-
     def moment_exists(self, r: float) -> bool:
         return self.alpha + r / self.beta > 0
 
@@ -538,9 +518,6 @@ class SubbotinLaw(LawSpec):
         hi = self.scale * max(1.0, (math.log(1.0 / eps)) ** (1.0 / self.beta)) * 2.0
         return (-hi, hi)
 
-    def tail_scale(self):
-        return self.scale
-
     def mu(self, k):
         if k == 0:
             return 1.0
@@ -605,9 +582,6 @@ class SignedMeasure(LawSpec):
     def support(self, eps=SUPPORT_EPS):
         los, his = zip(*(law.support(eps / len(self.terms)) for _, law in self.terms))
         return (min(los), max(his))
-
-    def tail_scale(self):
-        return max(law.tail_scale() for _, law in self.terms)
 
     def mass(self) -> float:
         return sum(c for c, _ in self.terms)
@@ -689,9 +663,6 @@ class Affine(LawSpec):
         lo, hi = self.base.support(eps)
         a, b = self.c * lo + self.d, self.c * hi + self.d
         return (min(a, b), max(a, b))
-
-    def tail_scale(self):
-        return abs(self.c) * self.base.tail_scale()
 
     def _binomial(self, k, base_moment):
         """E(cX + d)^k term by term, from base_moment(j) = E[X^j; ...]."""
@@ -782,9 +753,6 @@ class Rounded(Atoms):
         keep = p > 0
         super().__init__(list(zip(locs[keep].tolist(), (p[keep] / p[keep].sum()).tolist())))
 
-    def tail_scale(self):
-        return max(self.eta, self.base.tail_scale())
-
     def to_dict(self):
         return {"family": "rounded", "eta": self.eta, "alpha": self.alpha,
                 "base": self.base.to_dict()}
@@ -838,9 +806,6 @@ class HistogramLaw(LawSpec):
     def support(self, eps=SUPPORT_EPS):
         centers, _ = self._cells()
         return (float(centers[0]) - self.eta / 2.0, float(centers[-1]) + self.eta / 2.0)
-
-    def tail_scale(self):
-        return self._rounded.tail_scale()
 
     def partial_mu(self, k, x):
         # cell-wise exact: uniform on the cell of width eta, its top clipped at x
@@ -900,9 +865,6 @@ class Truncated(LawSpec):
         lo, hi = self.base.support(max(eps, 1e-300) * self._z)
         return (max(lo, self.a), min(hi, self.b))
 
-    def tail_scale(self):
-        return min(self.base.tail_scale(), self.b - self.a)
-
     def partial_mu(self, k, x):
         """The window difference of the base's partial moments over the
         window's mass; a base moment that is infinite (though finite on the
@@ -918,11 +880,8 @@ class Truncated(LawSpec):
                 "base": self.base.to_dict()}
 
 
-def truncate(base: LawSpec, a: float, b: float) -> Truncated:
-    return Truncated(base, a, b)
-
-
 _FOLD_CHUNK = 256             # points per integrate call in Conv2: bounds the working arrays
+_FOLD_TOL = Tolerance(1e-10, 1e-9)   # of the integrals of Conv2's cdf and pdf
 
 
 class Conv2(LawSpec):
@@ -935,10 +894,9 @@ class Conv2(LawSpec):
 
     family = "conv2"
 
-    def __init__(self, p: LawSpec, q: LawSpec, tol: Tolerance = Tolerance(1e-10, 1e-9)):
+    def __init__(self, p: LawSpec, q: LawSpec):
         self.p = p
         self.q = q
-        self.tol = tol
 
     @cached_property
     def _layout(self):
@@ -966,7 +924,7 @@ class Conv2(LawSpec):
             for i in range(0, x.size, _FOLD_CHUNK):
                 xc = x[i:i + _FOLD_CHUNK]
                 v, _ = integrate(lambda y, k: g(xc[k] - y) * self.q.pdf(y),
-                                 np.full(xc.size, lo), np.full(xc.size, hi), self.tol,
+                                 np.full(xc.size, lo), np.full(xc.size, hi), _FOLD_TOL,
                                  breakpoints=xc[:, None] * slope + offset)
                 out[i:i + _FOLD_CHUNK] += v
         return out
@@ -993,9 +951,6 @@ class Conv2(LawSpec):
         lp = self.p.support(eps / 2)
         lq = self.q.support(eps / 2)
         return (lp[0] + lq[0], lp[1] + lq[1])
-
-    def tail_scale(self):
-        return self.p.tail_scale() + self.q.tail_scale()
 
     def mu(self, k):
         # moments of a sum via the binomial expansion
@@ -1035,27 +990,18 @@ def conv2_law(p: LawSpec, q: LawSpec) -> LawSpec:
 
 # -- factories mirroring the text format --------------------------------------
 
-def dirac(a: float) -> Dirac:
-    return Dirac(a)
-
-
-def atoms_law(points) -> Atoms:
-    return Atoms(points)
-
-
-def bernoulli(p: float) -> Bernoulli:
-    return Bernoulli(p)
-
-
-def normal(mu: float = 0.0, sigma: float = 1.0) -> Normal:
-    return Normal(mu, sigma)
-
+dirac = Dirac
+atoms_law = Atoms
+bernoulli = Bernoulli
+normal = Normal
+uniform = Uniform
+gamma_power = GammaPower
+mixture = Mixture
+rounded = Rounded
+histogram = HistogramLaw
+truncate = Truncated
 
 STANDARD_NORMAL = Normal(0.0, 1.0)
-
-
-def uniform(a: float, b: float) -> Uniform:
-    return Uniform(a, b)
 
 
 def truncated_normal_left(t: float) -> Truncated:
@@ -1071,22 +1017,6 @@ def winsorised_normal_left(t: float) -> Mixture:
     if p < 1.0:
         parts.append((1.0 - p, truncated_normal_left(t)))
     return Mixture(parts)
-
-
-def gamma_power(alpha: float, lam: float = 1.0, beta: float = 1.0) -> GammaPower:
-    return GammaPower(alpha, lam, beta)
-
-
-def mixture(parts) -> Mixture:
-    return Mixture(parts)
-
-
-def rounded(eta: float, alpha: float, base: LawSpec) -> Rounded:
-    return Rounded(eta, alpha, base)
-
-
-def histogram(eta: float, alpha: float, base: LawSpec) -> HistogramLaw:
-    return HistogramLaw(eta, alpha, base)
 
 
 def law_from_dict(d: dict) -> LawSpec:

@@ -148,10 +148,10 @@ def closed_measure_stack(M: SignedMeasure, k: int) -> Optional[Callable]:
 # grids
 # ---------------------------------------------------------------------------
 
-def metric_grid(M: SignedMeasure, n_base: int = 2048,
-                eps: float = 1e-15) -> np.ndarray:
-    """Breakpoint grid: atoms, density kinks, 0, plus a dense fill."""
-    lo, hi = M.support(eps)
+def metric_grid(M: SignedMeasure, n_base: int = 2048) -> np.ndarray:
+    """Breakpoint grid over the support of all but 1e-15 of M's mass, padded
+    by 5%: atoms, density kinks, 0, plus a dense fill."""
+    lo, hi = M.support(1e-15)
     pad = 0.05 * (hi - lo) + 1e-6
     lo, hi = lo - pad, hi + pad
     feats = [x for x, _ in M.atoms()]
@@ -193,7 +193,9 @@ def _integrated_cdfs(M: SignedMeasure, grid: np.ndarray, depth: int, tol: Tolera
     1e-14 * max(1, nu_0 of M)); otherwise, or with engine "quadrature",
     F_1 = M.cdf and each further level is the cumulative_integral of the
     one before on ``grid`` (method "quadrature", err_est the summed bounds
-    of the levels).  Raises MetricError for any other engine name.
+    of the levels).  The mass below the grid, at most the 1e-15 it is built
+    on, is allowed for in F_2 as 1e-15 times the grid's width.  Raises
+    MetricError for any other engine name.
     """
     if engine not in ("auto", "quadrature"):
         raise MetricError(f"engine must be 'auto' or 'quadrature', got {engine!r}")
@@ -201,7 +203,7 @@ def _integrated_cdfs(M: SignedMeasure, grid: np.ndarray, depth: int, tol: Tolera
         if engine == "auto" else [None]
     if all(c is not None for c in closed):
         return closed, 1e-14 * max(1.0, M.nu_upper(0)), "closed_form"
-    levels, err, tail = [M.cdf], 0.0, 1e-15 * M.tail_scale()
+    levels, err, tail = [M.cdf], 0.0, 1e-15 * (grid[-1] - grid[0])
     for _ in range(depth - 1):
         h, h_err = cumulative_integral(levels[-1], grid, tail, sign=-1, tol=tol)
         levels.append(h)
@@ -488,3 +490,12 @@ def zeta3_cut_criterion(P: LawSpec, tol: Tolerance = DEFAULT_TOL
                                                     "first_sign": int(dfirst),
                                                     "rule": "symmetric_density"})
     return None
+
+
+def zeta3_to_normal(P: LawSpec, tol: Tolerance = DEFAULT_TOL) -> MetricValue:
+    """zeta_3(standardise(P) - N): the cut criterion's value where it
+    certifies one, else zeta_r's integral."""
+    cut = zeta3_cut_criterion(P, tol)
+    if cut is not None:
+        return cut
+    return zeta_r(signed_diff(standardise(P), STANDARD_NORMAL), 3, tol)

@@ -16,7 +16,7 @@ from .numerics import Tolerance
 from .measures import (SignedMeasure, STANDARD_NORMAL, atoms_law, normal,
                        rounded, signed_diff, standardise, subbotin, uniform,
                        lattice_span, convolve_signed)
-from .metrics import kappa_r, kolmogorov, nu_r_signed, zeta_r, zeta3_cut_criterion
+from .metrics import kappa_r, kolmogorov, nu_r_signed, zeta_r, zeta3_to_normal
 from .bounds import CONSTANTS
 
 SQRT3 = math.sqrt(3.0)
@@ -123,15 +123,9 @@ def subbotin_table() -> Tuple[List[Dict], bool]:
     ok = True
     tol = Tolerance(1e-10, 1e-8)
 
-    def z3(beta):
-        P = subbotin(beta)
-        cut = zeta3_cut_criterion(P, tol)
-        if cut is not None:
-            return cut.value
-        return zeta_r(signed_diff(standardise(P), STANDARD_NORMAL), 3, tol).value
-
     for beta, quote in ((1.0, "0.0875918"), (2.0, "<1e-9"), (math.inf, "0.0494551")):
-        r = _row(f"zeta3_subbotin[beta={beta}]", z3(beta), quote)
+        r = _row(f"zeta3_subbotin[beta={beta}]", zeta3_to_normal(subbotin(beta), tol).value,
+                 quote)
         rows.append(r)
         ok &= r["ok"]
     return rows, ok

@@ -73,6 +73,17 @@ class TestMetricCommand:
         assert rc == 0
         assert math.isfinite(float(out[0]["value"]))
 
+    @pytest.mark.parametrize("r", ["2.9", "inf"])
+    @pytest.mark.parametrize("metric", ["nu_r", "zeta_r"])
+    def test_non_integer_order_exit_2(self, capsys, metric, r):
+        # nu_r and zeta_r take integer orders: 2.9 is not read as 2
+        rc = cli.main(["metric", "--spec", '{"family":"uniform","a":-1,"b":1}',
+                       "--metric", metric, "--r", r])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"integer --r, got {r}" in captured.err
+
     def test_parse_error_exit_2(self):
         assert cli.main(["metric", "--spec", "not-json", "--metric", "K"]) == 2
 
@@ -135,6 +146,22 @@ class TestBoundsCommand:
         for row in rows:
             assert row["clt_lhs"] == ""
             assert row["clt_lhs_reason"] == "lattice_of needs a purely atomic law"
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_one_exit_3(self, capsys, n):
+        rc = cli.main(["bounds", "--spec", BERN, "--n", n])
+        assert rc == 3
+        assert f"bounds need n >= 1, got n = {n}" in capsys.readouterr().err
+
+    def test_lhs_value_error_not_swallowed(self, capsys, monkeypatch):
+        # only a law without a lattice power (a ConvolveError) leaves the
+        # clt_lhs cell empty; any other error reaches the exit code
+        def broken(*args, **kwargs):
+            raise ValueError("clt_lhs broke")
+        monkeypatch.setattr(cli, "clt_lhs", broken)
+        rc = cli.main(["bounds", "--spec", BERN, "--n", "4"])
+        assert rc == 3
+        assert "clt_lhs broke" in capsys.readouterr().err
 
     def test_rounded_normal_table_mirrors_example(self, capsys):
         # n = 2 slice of the discretised-normal example: the zeta-based
