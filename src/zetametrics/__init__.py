@@ -21,8 +21,8 @@ from .measures import (LawSpec, SignedMeasure, Atoms, Bernoulli,
                        STANDARD_NORMAL)
 from .metrics import (MetricValue, kappa_r, kolmogorov, lambda_1, nu_r_signed, zeta3_cut_criterion,
                       zeta_r)
-from .convolve import (LatticeWeights, clt_lhs, convolution_inequality_check, convolve_atomic,
-                       lattice_of, power_lattice, wasserstein_lattice_vs_normal)
+from .convolve import (clt_lhs, convolution_inequality_check, convolve_atomic, lattice_of,
+                       power_lattice, wasserstein_lattice_vs_normal)
 from .discretise import RoundingGapReport, rounding_gaps
 from .bounds import (CONSTANTS, BoundReport, NormalDistanceProfile, all_bounds,
                      be_classical, be_kappa, be_main, be_main_all_n,

@@ -16,8 +16,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from .numerics import DEFAULT_TOL, Tolerance, golden_section
-from .measures import (LawSpec, STANDARD_NORMAL, lattice_span, signed_diff,
-                       standardise)
+from .measures import (DegenerateLawError, LawSpec, STANDARD_NORMAL, lattice_span,
+                       signed_diff, standardise)
 from .metrics import kappa_r, nu_r_signed, zeta3_to_normal
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -201,7 +201,11 @@ def distance_profile(P: LawSpec, tol: Tolerance = DEFAULT_TOL) -> NormalDistance
         span_std=lattice_span(Pt), zeta3_method=z3.method)
 
 
-def _profile(P_or_prof, tol: Tolerance) -> NormalDistanceProfile:
+def _profile(P_or_prof, n, tol: Tolerance) -> NormalDistanceProfile:
+    """The distance profile of P (or P itself when it is one) for a bound
+    at n summands; raises ValueError for n < 1, where no bound is defined."""
+    if n < 1:
+        raise ValueError(f"bounds need n >= 1, got n = {n}")
     if isinstance(P_or_prof, NormalDistanceProfile):
         return P_or_prof
     return distance_profile(P_or_prof, tol)
@@ -214,18 +218,18 @@ def _profile(P_or_prof, tol: Tolerance) -> NormalDistanceProfile:
 def be_classical(P, n: int, constant: str | float = "c_Sh",
                  tol: Tolerance = DEFAULT_TOL) -> BoundReport:
     """Classical Berry-Esseen RHS c * nu_3(P~) / sqrt(n)."""
-    prof = _profile(P, tol)
+    prof = _profile(P, n, tol)
     c = {"c_Sh": CONSTANTS.c_Sh, "c_E": CONSTANTS.c_E}.get(constant, constant)
     if not math.isfinite(prof.nu3_std):
         return BoundReport("be_classical", math.inf, False, "nu_3 infinite")
     rhs = float(c) * prof.nu3_std / math.sqrt(n)
-    return BoundReport("be_classical", rhs, n >= 1, "",
+    return BoundReport("be_classical", rhs, True, "",
                        {"nu3_std": prof.nu3_std, "c": float(c)})
 
 
 def be_main(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
     """(9 / sqrt(n)) (zeta_1 v zeta_3)(P~ - N), valid for n >= 2."""
-    prof = _profile(P, tol)
+    prof = _profile(P, n, tol)
     rhs = CONSTANTS.c_main * prof.zeta13 / math.sqrt(n)
     if n < 2:
         return BoundReport("be_main", rhs, False, "needs n >= 2",
@@ -236,17 +240,17 @@ def be_main(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
 
 def be_main_all_n(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
     """(9 / sqrt(n)) (zeta_1^(1 ^ n/2) v zeta_3), valid for all n >= 1."""
-    prof = _profile(P, tol)
+    prof = _profile(P, n, tol)
     expo = min(1.0, n / 2.0)
     rhs = CONSTANTS.c_main * max(prof.zeta1 ** expo, prof.zeta3) / math.sqrt(n)
-    return BoundReport("be_main_all_n", rhs, n >= 1, "",
+    return BoundReport("be_main_all_n", rhs, True, "",
                        {"zeta1": prof.zeta1, "zeta3": prof.zeta3,
                         "exponent": expo})
 
 
 def be_kappa(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
     """max(9 kappa_1, 1.5 kappa_3)(P~ - N) / sqrt(n), n >= 2."""
-    prof = _profile(P, tol)
+    prof = _profile(P, n, tol)
     rhs = max(9.0 * prof.kappa1, 1.5 * prof.kappa3) / math.sqrt(n)
     return BoundReport("be_kappa", rhs, n >= 2,
                        "" if n >= 2 else "needs n >= 2",
@@ -255,7 +259,7 @@ def be_kappa(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
 
 def be_zeta3_only(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
     """34 (zeta_3^(1/3) v zeta_3)(P~ - N) / sqrt(n), n >= 2."""
-    prof = _profile(P, tol)
+    prof = _profile(P, n, tol)
     rhs = CONSTANTS.c_zeta3 * max(prof.zeta3 ** (1.0 / 3.0), prof.zeta3) / math.sqrt(n)
     return BoundReport("be_zeta3_only", rhs, n >= 2,
                        "" if n >= 2 else "needs n >= 2",
@@ -265,7 +269,7 @@ def be_zeta3_only(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
 def esseen_asymptotic(P, tol: Tolerance = DEFAULT_TOL) -> float:
     """Limit of sqrt(n) ||P~^{*n} - N||_K:
     (h(P~)/2 + |mu_3(P~)|/6) / sqrt(2 pi)."""
-    prof = _profile(P, tol)
+    prof = _profile(P, math.inf, tol)
     h = prof.span_std
     if math.isinf(h):
         raise ValueError("esseen_asymptotic needs a non-degenerate law")
@@ -279,7 +283,7 @@ def shiganov_family(P, n: int, r: int, tol: Tolerance = DEFAULT_TOL) -> BoundRep
     """c_r (nu_r^(1 ^ n/(r+1)) v nu_3)(P~ - N) / sqrt(n)."""
     if r not in _SHIGANOV_C:
         raise ValueError("shiganov family needs r in 0..3")
-    prof = _profile(P, tol)
+    prof = _profile(P, n, tol)
     nur = prof.nu_diff[r]
     nu3 = prof.nu_diff[3]
     if not (math.isfinite(nur) and math.isfinite(nu3)):
@@ -293,7 +297,7 @@ def shiganov_family(P, n: int, r: int, tol: Tolerance = DEFAULT_TOL) -> BoundRep
 
 def shiganov_combined(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
     """min over r from min(3, n-1) to 3 of the Shiganov family RHS."""
-    prof = _profile(P, tol)
+    prof = _profile(P, n, tol)
     r_lo = min(3, n - 1)
     reports = [shiganov_family(prof, n, r, tol) for r in range(r_lo, 4)]
     applicable = [rep for rep in reports if rep.applicable]
@@ -308,7 +312,7 @@ def shiganov_combined(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
 def zolotarev_zeta1_bound(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
     """xi(zeta_1, zeta_3)/sqrt(n), bounding zeta_1(P~^{*n} - N); the
     coarse 14 (zeta_1 v zeta_3)/sqrt(n) form is reported alongside."""
-    prof = _profile(P, tol)
+    prof = _profile(P, n, tol)
     v = xi(prof.zeta1, prof.zeta3)
     coarse = CONSTANTS.c_zeta1_coarse * prof.zeta13 / math.sqrt(n)
     if not math.isfinite(v):
@@ -317,18 +321,18 @@ def zolotarev_zeta1_bound(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundRepor
                            {"zeta1": prof.zeta1, "zeta3": prof.zeta3,
                             "xi": math.inf, "coarse": coarse})
     rhs = v / math.sqrt(n)
-    return BoundReport("zolotarev_zeta1", rhs, n >= 1, "",
+    return BoundReport("zolotarev_zeta1", rhs, True, "",
                        {"zeta1": prof.zeta1, "zeta3": prof.zeta3,
                         "xi": v, "coarse": coarse})
 
 
 def goldstein_tyurin(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
     """zeta_1(P~^{*n} - N) <= nu_3(P~) / sqrt(n)."""
-    prof = _profile(P, tol)
+    prof = _profile(P, n, tol)
     if not math.isfinite(prof.nu3_std):
         return BoundReport("goldstein_tyurin", math.inf, False, "nu_3 infinite")
     return BoundReport("goldstein_tyurin", prof.nu3_std / math.sqrt(n),
-                       n >= 1, "", {"nu3_std": prof.nu3_std})
+                       True, "", {"nu3_std": prof.nu3_std})
 
 
 def sampling_bound(population: LawSpec, n: int, N_pop: int,
@@ -346,12 +350,13 @@ def sampling_bound(population: LawSpec, n: int, N_pop: int,
     if not atoms or population.has_density:
         raise ValueError("sampling_bound needs a finite atomic population law")
     d = diversity if diversity is not None else len(atoms)
-    if population.std == 0:
+    try:
+        prof = _profile(population, n, tol)
+    except DegenerateLawError:
         return {"sampling_main": BoundReport("sampling_main", math.inf, False,
                                              "degenerate population (sigma = 0)"),
                 "hoeglund": BoundReport("hoeglund", math.inf, False,
                                         "degenerate population (sigma = 0)")}
-    prof = distance_profile(population, tol)
     main = (CONSTANTS.c_main / math.sqrt(n)) * prof.zeta13 \
         + min((n - 1) / 2.0, float(d)) * n / N_pop
     eff = n * (N_pop - n) / (N_pop - 1.0) if N_pop > 1 else float(n)
@@ -361,8 +366,8 @@ def sampling_bound(population: LawSpec, n: int, N_pop: int,
                                      "" if n >= 2 else "needs n >= 2",
                                      {"zeta1": prof.zeta1, "zeta3": prof.zeta3,
                                       "diversity": d, "N": N_pop}),
-        "hoeglund": BoundReport("hoeglund", hoeg, 0 < n < N_pop,
-                                "" if 0 < n < N_pop else "needs 0 < n < N",
+        "hoeglund": BoundReport("hoeglund", hoeg, n < N_pop,
+                                "" if n < N_pop else "needs n < N",
                                 {"nu3_std": prof.nu3_std,
                                  "effective_n": eff}),
     }
@@ -389,9 +394,7 @@ ALL_BOUND_IDS = ("be_main", "be_main_all_n", "be_kappa", "be_zeta3_only",
 def all_bounds(P, n: int, tol: Tolerance = DEFAULT_TOL) -> Dict[str, BoundReport]:
     """Every Kolmogorov-LHS bound (and the zeta_1-LHS ones) at once; raises
     ValueError for n < 1."""
-    if n < 1:
-        raise ValueError(f"bounds need n >= 1, got n = {n}")
-    prof = _profile(P, tol)
+    prof = _profile(P, n, tol)
     return {
         "be_main": be_main(prof, n, tol),
         "be_main_all_n": be_main_all_n(prof, n, tol),

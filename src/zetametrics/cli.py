@@ -116,7 +116,7 @@ def cmd_metric(args) -> int:
     if name in ("nu_r", "zeta_r") and not float(r).is_integer():
         raise SpecParseError(f"{name} needs an integer --r, got {r:g}")
     if name == "K":
-        mv = kolmogorov(M, args.tol)
+        mv = kolmogorov(M)
     elif name == "nu_r":
         mv = nu_r_signed(M, int(r), args.tol)
     elif name == "kappa_r":
@@ -167,8 +167,7 @@ def cmd_clt(args) -> int:
     ns = [int(v) for v in args.sweep.split(",")] if args.sweep else [args.n]
     rows = []
     for n in ns:
-        mv = clt_lhs(P, n, mode=args.mode, eta=args.eta, alpha=args.alpha,
-                     tol=args.tol)
+        mv = clt_lhs(P, n, mode=args.mode, eta=args.eta, alpha=args.alpha)
         rows.append({"n": n, "lhs": mv.value, "sqrt_n_lhs": math.sqrt(n) * mv.value,
                      "err_est": mv.err_est, "method": mv.method})
     _emit_rows(rows, args)

@@ -16,13 +16,12 @@ continuous path evaluates two-fold convolution CDFs by quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .numerics import DEFAULT_TOL, Tolerance, std_normal_cdf, std_normal_pdf
-from .measures import (MAX_LATTICE_ENTRIES, Atoms, LawSpec, STANDARD_NORMAL, conv2_law,
+from .measures import (MAX_LATTICE_ENTRIES, Lattice, LawSpec, STANDARD_NORMAL, conv2_law,
                        lattice_span, signed_diff, standardise)
 from .metrics import MetricValue, kolmogorov
 # powers with at most this many entries are convolved directly; past it,
@@ -42,75 +41,43 @@ class ModeError(ConvolveError):
     pass
 
 
-@dataclass
-class LatticeWeights:
-    """Weights on shift + span * {0, 1, ..., len(weights)-1}.
-
-    ``fft_size`` is the transform length of an FFT-formed power (0 when it
-    was convolved directly); ``noise_floor`` is the level at or below
-    which its entries were set to zero, the size of the transforms'
-    rounding in each entry.
-    """
-
-    shift: float
-    span: float
-    weights: np.ndarray
-    fft_size: int = 0
-    noise_floor: float = 0.0
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.span <= 0:
-            raise ConvolveError("span must be > 0")
-        if np.any(self.weights < 0):
-            raise ConvolveError("weights must be >= 0")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise ConvolveError("weights must sum to 1")
-
-    @property
-    def locations(self) -> np.ndarray:
-        return self.shift + self.span * np.arange(self.weights.size)
-
-    def law(self) -> Atoms:
-        keep = self.weights > 0
-        w = self.weights[keep] / self.weights[keep].sum()
-        return Atoms(list(zip(self.locations[keep].tolist(), w.tolist())))
-
-
-def lattice_of(P: LawSpec, tol: float = 1e-9) -> LatticeWeights:
-    """Embed a purely atomic commensurable law into a LatticeWeights array."""
+def lattice_of(P: LawSpec) -> Lattice:
+    """P as a Lattice: itself when it is one, else its atoms embedded on
+    their common lattice, which must hold them within 1e-9 of the span."""
+    if isinstance(P, Lattice):
+        return P
     if P.has_density:
         raise ConvolveError("lattice_of needs a purely atomic law")
     pts = P.atoms()
     if len(pts) == 1:
-        return LatticeWeights(pts[0][0], 1.0, np.array([1.0]))
+        return Lattice(pts[0][0], 1.0, [1.0])
     span = lattice_span(P)
     if not (span > 0) or math.isinf(span):
         raise ConvolveError("law is not lattice-commensurable")
     locs = np.array([x for x, _ in pts])
     wts = np.array([w for _, w in pts])
     idx = np.round((locs - locs[0]) / span).astype(int)
-    if np.max(np.abs(locs[0] + idx * span - locs)) > tol * max(1.0, span):
+    if np.max(np.abs(locs[0] + idx * span - locs)) > 1e-9 * max(1.0, span):
         raise ConvolveError("atoms do not sit on a common lattice")
     arr = np.zeros(int(idx[-1]) + 1)
     arr[idx] = wts
-    return LatticeWeights(float(locs[0]), float(span), arr)
+    return Lattice(float(locs[0]), float(span), arr)
 
 
-def convolve_atomic(P: LatticeWeights, Q: LatticeWeights) -> LatticeWeights:
+def convolve_atomic(P: Lattice, Q: Lattice) -> Lattice:
     """Exact discrete convolution; spans must match, shifts add."""
     if abs(P.span - Q.span) > 1e-12 * max(P.span, Q.span):
         raise SpanMismatchError(f"span mismatch: {P.span} vs {Q.span}")
     if (P.weights.size + Q.weights.size - 1) > MAX_LATTICE_ENTRIES:
         raise ConvolveError("convolution result exceeds entry budget")
-    return LatticeWeights(P.shift + Q.shift, P.span, np.convolve(P.weights, Q.weights))
+    return Lattice(P.shift + Q.shift, P.span, np.convolve(P.weights, Q.weights))
 
 
-def _square_down(P: LatticeWeights, n: int, cap: float):
+def _square_down(P: Lattice, n: int, cap: float):
     """Write P^n = base^q * rest with base = P^(2^j) by repeated squaring,
     squaring while q > 1 and the square has at most ``cap`` entries; rest
     is P^(n mod 2^j), or None when that exponent is 0."""
-    rest: Optional[LatticeWeights] = None
+    rest: Optional[Lattice] = None
     base = P
     q = n
     while q > 1 and 2 * base.weights.size - 1 <= cap:
@@ -121,7 +88,7 @@ def _square_down(P: LatticeWeights, n: int, cap: float):
     return base, q, rest
 
 
-def _power_direct(P: LatticeWeights, n: int) -> LatticeWeights:
+def _power_direct(P: Lattice, n: int) -> Lattice:
     """n-fold convolution power by repeated squaring."""
     base, _, rest = _square_down(P, n, math.inf)
     return base if rest is None else convolve_atomic(rest, base)
@@ -141,7 +108,7 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def power_lattice(P: LatticeWeights, n: int) -> LatticeWeights:
+def power_lattice(P: Lattice, n: int) -> Lattice:
     """n-fold convolution power, direct up to ``_DIRECT_CAP`` entries.
 
     Past the cap, ``P^(2^j)`` is squared directly while its length stays
@@ -170,7 +137,9 @@ def power_lattice(P: LatticeWeights, n: int) -> LatticeWeights:
     floor = q * math.log2(fft_size) * np.finfo(float).eps * float(w.max())
     w[w <= floor] = 0.0
     w *= 1.0 / w.sum()
-    return LatticeWeights(n * P.shift, P.span, w, fft_size, floor)
+    out = Lattice(n * P.shift, P.span, w)
+    out.fft_size, out.noise_floor = fft_size, floor
+    return out
 
 
 def _phi_antideriv(x: np.ndarray) -> np.ndarray:
@@ -178,7 +147,7 @@ def _phi_antideriv(x: np.ndarray) -> np.ndarray:
     return x * std_normal_cdf(x) + std_normal_pdf(x)
 
 
-def wasserstein_lattice_vs_normal(L: LatticeWeights, mean: float, sd: float) -> float:
+def wasserstein_lattice_vs_normal(L: Lattice, mean: float, sd: float) -> float:
     """Exact integral |F_L~(x) - Phi(x)| dx over the standardised lattice.
 
     Cell-by-cell closed form: between adjacent atoms the lattice CDF is
@@ -187,9 +156,8 @@ def wasserstein_lattice_vs_normal(L: LatticeWeights, mean: float, sd: float) -> 
     distance of the standardised lattice law to N.
     """
     from .numerics import std_normal_quantile
-    keep = L.weights > 0
-    xs = (L.locations[keep] - mean) / sd
-    cum = np.cumsum(L.weights[keep])
+    xs = (L._locs - mean) / sd
+    cum = L._cum[1:]
     a = xs[:-1]
     b = xs[1:]
     c = cum[:-1]
@@ -213,21 +181,18 @@ def wasserstein_lattice_vs_normal(L: LatticeWeights, mean: float, sd: float) -> 
     return total
 
 
-def _lattice_vs_normal_sup(L: LatticeWeights, mean: float, sd: float) -> Tuple[float, float]:
+def _lattice_vs_normal_sup(L: Lattice, mean: float, sd: float) -> Tuple[float, float]:
     """sup_x |F_L~(x) - Phi(x)| standardising atom coordinates exactly."""
-    keep = L.weights > 0
-    locs = (L.locations[keep] - mean) / sd
-    cum = np.cumsum(L.weights[keep])
-    cum_left = cum - L.weights[keep]
+    locs = (L._locs - mean) / sd
     Phi = std_normal_cdf(locs)
-    diffs = np.maximum(np.abs(cum - Phi), np.abs(cum_left - Phi))
+    cum = L._cum[1:]
+    diffs = np.maximum(np.abs(cum - Phi), np.abs(cum - L._wts - Phi))
     k = int(np.argmax(diffs))
     return float(diffs[k]), float(locs[k])
 
 
 def clt_lhs(P: LawSpec, n: int, mode: str = "exact_lattice",
-            eta: Optional[float] = None, alpha: float = 0.0,
-            tol: Tolerance = DEFAULT_TOL) -> MetricValue:
+            eta: Optional[float] = None, alpha: float = 0.0) -> MetricValue:
     """The central-limit error  || standardise(P^{*n}) - N ||_K.
 
     Modes: ``exact_lattice`` (purely atomic commensurable P, exact),
@@ -255,7 +220,7 @@ def clt_lhs(P: LawSpec, n: int, mode: str = "exact_lattice",
         if n != 2:
             raise ModeError("quadrature_n2 requires n = 2")
         M = signed_diff(standardise(conv2_law(P, P)), STANDARD_NORMAL)
-        out = kolmogorov(M, tol)
+        out = kolmogorov(M)
         out.method = "quadrature"
         return out
     if mode == "lattice_approx":
@@ -300,5 +265,5 @@ def convolution_inequality_check(F1: LawSpec, F2: LawSpec,
     d1 = kappa_r(signed_diff(F1, H1), 1.0, tol).value
     d2 = kappa_r(signed_diff(F2, H2), 1.0, tol).value
     rhs = (math.sqrt(L2 * d1) + math.sqrt(L1 * d2)) ** 2
-    lhs = kolmogorov(signed_diff(conv2_law(F1, F2), conv2_law(H1, H2)), tol).value
+    lhs = kolmogorov(signed_diff(conv2_law(F1, F2), conv2_law(H1, H2))).value
     return lhs, rhs

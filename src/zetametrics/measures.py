@@ -235,33 +235,22 @@ class Dirac(Atoms):
         return {"family": "dirac", "a": self.a}
 
 
-class Bernoulli(Atoms):
-    family = "bernoulli"
-
-    def __init__(self, p: float):
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"bernoulli needs p in [0,1], got {p}")
-        self.p = p
-        super().__init__([(0.0, 1.0 - p), (1.0, p)])
-
-    def mu(self, k):
-        return self.p if k >= 1 else 1.0
-
-    def nu(self, r):
-        return self.p if r >= 1 else 1.0
-
-    def to_dict(self):
-        return {"family": "bernoulli", "p": self.p}
-
-
 class Lattice(Atoms):
-    """Law on shift + span * Z given by a finite weight window."""
+    """Law on shift + span * {0, 1, ..., len(weights) - 1}.
+
+    The atom arrays ``_locs``, ``_wts`` and ``_cum`` cover the nonzero
+    weights and are made on first use, so lattice powers that are only
+    convolved never build them.  ``fft_size`` is the transform length of
+    an FFT-formed power (0 otherwise) and ``noise_floor`` the level at or
+    below which its entries were set to zero.
+    """
 
     family = "lattice"
+    fft_size = 0
+    noise_floor = 0.0
 
-    def __init__(self, shift: float, span: float, weights: Sequence[float],
-                 first_index: int = 0):
-        if span <= 0:
+    def __init__(self, shift: float, span: float, weights: Sequence[float]):
+        if not span > 0:
             raise DomainError("lattice span must be > 0")
         w = np.asarray(weights, dtype=float)
         if np.any(w < 0):
@@ -271,14 +260,41 @@ class Lattice(Atoms):
         self.shift = float(shift)
         self.span = float(span)
         self.weights = w
-        self.first_index = int(first_index)
-        locs = self.shift + self.span * (self.first_index + np.arange(w.size))
-        super().__init__(list(zip(locs.tolist(), w.tolist())))
+
+    @cached_property
+    def _locs(self):
+        return (self.shift + self.span * np.arange(self.weights.size))[self.weights > 0]
+
+    @cached_property
+    def _wts(self):
+        return self.weights[self.weights > 0]
+
+    @cached_property
+    def _cum(self):
+        return np.concatenate([[0.0], np.cumsum(self._wts)])
 
     def to_dict(self):
         return {"family": "lattice", "shift": self.shift, "span": self.span,
-                "first_index": self.first_index,
                 "weights": self.weights.tolist()}
+
+
+class Bernoulli(Lattice):
+    family = "bernoulli"
+
+    def __init__(self, p: float):
+        if not 0.0 <= p <= 1.0:
+            raise DomainError(f"bernoulli needs p in [0,1], got {p}")
+        self.p = p
+        super().__init__(0.0, 1.0, [1.0 - p, p])
+
+    def mu(self, k):
+        return self.p if k >= 1 else 1.0
+
+    def nu(self, r):
+        return self.p if r >= 1 else 1.0
+
+    def to_dict(self):
+        return {"family": "bernoulli", "p": self.p}
 
 
 @dataclass(frozen=True, eq=False)
@@ -712,11 +728,13 @@ def affine(c: float, d: float, base: LawSpec) -> LawSpec:
     return Affine(c, d, base)
 
 
-class Rounded(Atoms):
+class Rounded(Lattice):
     """Projection of ``base`` onto the lattice {(alpha + j) eta : j in Z}.
 
     Cell j receives base mass of ]((alpha+j-1/2)eta, (alpha+j+1/2)eta];
     base atoms sitting exactly on a cell boundary are split half/half.
+    The lattice runs from the first to the last cell with mass, with span
+    exactly eta; its atoms sit at the cell centres (alpha + j) eta.
     """
 
     family = "rounded"
@@ -751,7 +769,10 @@ class Rounded(Atoms):
         if abs(missing) > 1e-12:
             raise MeasureError(f"rounding lost mass {missing:g}")
         keep = p > 0
-        super().__init__(list(zip(locs[keep].tolist(), (p[keep] / p[keep].sum()).tolist())))
+        first, last = np.flatnonzero(keep)[[0, -1]]
+        super().__init__(locs[first], self.eta,
+                         np.where(keep, p, 0.0)[first:last + 1] / p[keep].sum())
+        self._locs = locs[keep]
 
     def to_dict(self):
         return {"family": "rounded", "eta": self.eta, "alpha": self.alpha,
@@ -1027,8 +1048,9 @@ def law_from_dict(d: dict) -> LawSpec:
     if fam == "atoms":
         return Atoms([(float(x), float(w)) for x, w in d["points"]])
     if fam == "lattice":
-        return Lattice(float(d["shift"]), float(d["span"]), d["weights"],
-                       int(d.get("first_index", 0)))
+        span = float(d["span"])
+        return Lattice(float(d["shift"]) + span * int(d.get("first_index", 0)), span,
+                       d["weights"])
     if fam == "bernoulli":
         return Bernoulli(float(d["p"]))
     if fam == "normal":

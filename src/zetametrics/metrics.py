@@ -351,7 +351,7 @@ def lambda_1(M: SignedMeasure) -> float:
     return -v
 
 
-def kolmogorov(M: SignedMeasure, tol: Tolerance = DEFAULT_TOL) -> MetricValue:
+def kolmogorov(M: SignedMeasure) -> MetricValue:
     """sup_x |F_M(x)| (with left limits at atoms) for mass-zero M.
 
     The largest |F_M| on a dense grid and at both limits of every atom;
@@ -434,8 +434,7 @@ def _certified_sign_count(fn: Callable, grid: np.ndarray, count: int,
     return fine_count, first, fine_count == count
 
 
-def zeta3_cut_criterion(P: LawSpec, tol: Tolerance = DEFAULT_TOL
-                        ) -> Optional[MetricValue]:
+def zeta3_cut_criterion(P: LawSpec) -> Optional[MetricValue]:
     """zeta_3(standardise(P) - N) by sign-change certification, or None.
 
     Returns |mu_3| / 6 when F~ - Phi certifiably changes sign at most
@@ -495,7 +494,7 @@ def zeta3_cut_criterion(P: LawSpec, tol: Tolerance = DEFAULT_TOL
 def zeta3_to_normal(P: LawSpec, tol: Tolerance = DEFAULT_TOL) -> MetricValue:
     """zeta_3(standardise(P) - N): the cut criterion's value where it
     certifies one, else zeta_r's integral."""
-    cut = zeta3_cut_criterion(P, tol)
+    cut = zeta3_cut_criterion(P)
     if cut is not None:
         return cut
     return zeta_r(signed_diff(standardise(P), STANDARD_NORMAL), 3, tol)

@@ -103,9 +103,9 @@ def zolotarev_M() -> Tuple[List[Dict], bool]:
         rows.append(r)
         return r["ok"]
 
-    ok &= add("K(M)", kolmogorov(M, tol).value, 1.0 / (2.0 * SQRT3))
+    ok &= add("K(M)", kolmogorov(M).value, 1.0 / (2.0 * SQRT3))
     M2 = convolve_signed(M, M)
-    ok &= add("K(M*M)", kolmogorov(M2, tol).value, 0.25)
+    ok &= add("K(M*M)", kolmogorov(M2).value, 0.25)
     for r_ in range(4):
         ok &= add(f"nu_{r_}(M)", nu_r_signed(M, r_, tol).value,
                   3.0 ** (r_ / 2.0) / (r_ + 1.0) + 1.0)

@@ -166,6 +166,27 @@ class TestBoundEvaluators:
         assert abs(rep.rhs - expect) < 1e-4
 
 
+    # every bound that takes n, called with a population law and n
+    N_BOUNDS = {
+        "be_classical": lambda P, n: zm.be_classical(P, n),
+        "be_main": lambda P, n: zm.be_main(P, n),
+        "be_main_all_n": lambda P, n: zm.be_main_all_n(P, n),
+        "be_kappa": lambda P, n: zm.be_kappa(P, n),
+        "be_zeta3_only": lambda P, n: zm.be_zeta3_only(P, n),
+        "zolotarev_zeta1_bound": lambda P, n: zm.zolotarev_zeta1_bound(P, n),
+        "goldstein_tyurin": lambda P, n: zm.goldstein_tyurin(P, n),
+        "shiganov_family": lambda P, n: zm.shiganov_family(P, n, 1),
+        "shiganov_combined": lambda P, n: zm.shiganov_combined(P, n),
+        "sampling_bound": lambda P, n: zm.sampling_bound(P, n, 100),
+    }
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("name", sorted(N_BOUNDS))
+    def test_n_below_one_rejected(self, name, n):
+        with pytest.raises(ValueError, match=f"bounds need n >= 1, got n = {n}$"):
+            self.N_BOUNDS[name](zm.bernoulli(0.5), n)
+
+
 class TestEsseenAsymptotic:
     def test_bernoulli_closed_form(self):
         for p in (0.3, 0.5, CONSTANTS.p_E):
@@ -255,6 +276,8 @@ class TestSamplingBound:
         out = zm.sampling_bound(pop, 5, 100, diversity=1)
         assert not out["sampling_main"].applicable
         assert "sigma" in out["sampling_main"].reason
+        with pytest.raises(ValueError, match="bounds need n >= 1, got n = 0$"):
+            zm.sampling_bound(pop, 0, 100, diversity=1)
 
     def test_normal_like_population(self):
         rng = np.random.default_rng(4)

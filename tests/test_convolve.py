@@ -28,7 +28,7 @@ class TestConvolveAtomic:
         P = zm.lattice_of(zm.dirac(1.5))
         Q = zm.lattice_of(zm.dirac(-0.5))
         R = zm.convolve_atomic(P, Q)
-        assert R.law().atoms() == [(1.0, 1.0)]
+        assert R.atoms() == [(1.0, 1.0)]
 
     def test_bernoulli_square(self):
         L = zm.lattice_of(zm.bernoulli(0.5))
@@ -44,7 +44,38 @@ class TestConvolveAtomic:
     def test_span_mismatch(self):
         with pytest.raises(SpanMismatchError):
             zm.convolve_atomic(zm.lattice_of(zm.bernoulli(0.5)),
-                               zm.LatticeWeights(0.0, 0.5, [0.5, 0.5]))
+                               zm.Lattice(0.0, 0.5, [0.5, 0.5]))
+
+
+class TestLatticeLaws:
+    """Roundings and Bernoullis are lattice laws that lattice_of returns as
+    they are; a JSON lattice folds its first index into its shift."""
+
+    def test_rounding_is_its_own_lattice(self):
+        R = zm.rounded(0.01, 0.3, zm.gamma_power(3.0))
+        assert isinstance(R, zm.Lattice) and zm.lattice_of(R) is R
+        assert R.span == 0.01
+        assert R.weights[0] > 0 and R.weights[-1] > 0
+
+    def test_bernoulli_is_its_own_lattice(self):
+        B = zm.bernoulli(0.3)
+        assert isinstance(B, zm.Lattice) and zm.lattice_of(B) is B
+
+    def test_rounding_atoms_are_cell_centres(self):
+        eta, alpha = 0.1, 0.3
+        R = zm.rounded(eta, alpha, zm.normal())
+        locs = np.array([x for x, _ in R.atoms()])
+        js = np.round(locs / eta - alpha)
+        assert locs.tolist() == ((alpha + js) * eta).tolist()
+
+    def test_json_first_index_folds_into_shift(self):
+        L = zm.law_from_dict({"family": "lattice", "shift": 0.1, "span": 0.5,
+                              "weights": [0.2, 0.3, 0.5], "first_index": 2})
+        assert L.to_dict() == {"family": "lattice", "shift": 0.1 + 0.5 * 2,
+                               "span": 0.5, "weights": [0.2, 0.3, 0.5]}
+        A = zm.atoms_law(L.atoms())
+        for n in (2, 16, 64):
+            assert zm.clt_lhs(L, n).value == zm.clt_lhs(A, n).value
 
 
 class TestPowerLattice:
@@ -313,7 +344,7 @@ class TestRegularityAndSmoothing:
             for n in (2, 4, 8):
                 LP = zm.power_lattice(zm.lattice_of(Pr), n)
                 LQ = zm.power_lattice(zm.lattice_of(Qr), n)
-                conv = zm.kappa_r(zm.signed_diff(LP.law(), LQ.law()), 1.0).value
+                conv = zm.kappa_r(zm.signed_diff(LP, LQ), 1.0).value
                 assert conv <= n * base + 1e-8
 
     def test_regularity_kolmogorov(self):
@@ -342,7 +373,7 @@ class TestRegularityAndSmoothing:
         P = zm.standardise(zm.bernoulli(0.5))
         base = zm.zeta_r(zm.signed_diff(P, zm.STANDARD_NORMAL), 3).value
         Ln = zm.power_lattice(zm.lattice_of(P), n)
-        Pn = zm.standardise(Ln.law())
+        Pn = zm.standardise(Ln)
         val = zm.zeta_r(zm.signed_diff(Pn, zm.STANDARD_NORMAL), 3).value
         assert val <= base / math.sqrt(n) + 1e-9
 
@@ -378,5 +409,5 @@ class TestWassersteinLattice:
         B = zm.bernoulli(0.3)
         L16 = zm.power_lattice(zm.lattice_of(B), 16)
         v = zm.wasserstein_lattice_vs_normal(L16, 16 * B.mean, 4 * B.std)
-        M = zm.signed_diff(zm.standardise(L16.law()), zm.STANDARD_NORMAL)
+        M = zm.signed_diff(zm.standardise(L16), zm.STANDARD_NORMAL)
         assert abs(v - zm.kappa_r(M, 1.0).value) < 1e-10
