@@ -201,24 +201,24 @@ def distance_profile(P: LawSpec, tol: Tolerance = DEFAULT_TOL) -> NormalDistance
         span_std=lattice_span(Pt), zeta3_method=z3.method)
 
 
-def _profile(P_or_prof, n, tol: Tolerance) -> NormalDistanceProfile:
-    """The distance profile of P (or P itself when it is one) for a bound
-    at n summands; raises ValueError for n < 1, where no bound is defined."""
+def _profile(P_or_prof, n) -> NormalDistanceProfile:
+    """The distance profile of P (or P itself when it is one: another
+    accuracy comes in as distance_profile(P, tol)) for a bound at n
+    summands; raises ValueError for n < 1, where no bound is defined."""
     if n < 1:
         raise ValueError(f"bounds need n >= 1, got n = {n}")
     if isinstance(P_or_prof, NormalDistanceProfile):
         return P_or_prof
-    return distance_profile(P_or_prof, tol)
+    return distance_profile(P_or_prof)
 
 
 # ---------------------------------------------------------------------------
 # the bounds
 # ---------------------------------------------------------------------------
 
-def be_classical(P, n: int, constant: str | float = "c_Sh",
-                 tol: Tolerance = DEFAULT_TOL) -> BoundReport:
+def be_classical(P, n: int, constant: str | float = "c_Sh") -> BoundReport:
     """Classical Berry-Esseen RHS c * nu_3(P~) / sqrt(n)."""
-    prof = _profile(P, n, tol)
+    prof = _profile(P, n)
     c = {"c_Sh": CONSTANTS.c_Sh, "c_E": CONSTANTS.c_E}.get(constant, constant)
     if not math.isfinite(prof.nu3_std):
         return BoundReport("be_classical", math.inf, False, "nu_3 infinite")
@@ -227,9 +227,9 @@ def be_classical(P, n: int, constant: str | float = "c_Sh",
                        {"nu3_std": prof.nu3_std, "c": float(c)})
 
 
-def be_main(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
+def be_main(P, n: int) -> BoundReport:
     """(9 / sqrt(n)) (zeta_1 v zeta_3)(P~ - N), valid for n >= 2."""
-    prof = _profile(P, n, tol)
+    prof = _profile(P, n)
     rhs = CONSTANTS.c_main * prof.zeta13 / math.sqrt(n)
     if n < 2:
         return BoundReport("be_main", rhs, False, "needs n >= 2",
@@ -238,9 +238,9 @@ def be_main(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
                        {"zeta1": prof.zeta1, "zeta3": prof.zeta3})
 
 
-def be_main_all_n(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
+def be_main_all_n(P, n: int) -> BoundReport:
     """(9 / sqrt(n)) (zeta_1^(1 ^ n/2) v zeta_3), valid for all n >= 1."""
-    prof = _profile(P, n, tol)
+    prof = _profile(P, n)
     expo = min(1.0, n / 2.0)
     rhs = CONSTANTS.c_main * max(prof.zeta1 ** expo, prof.zeta3) / math.sqrt(n)
     return BoundReport("be_main_all_n", rhs, True, "",
@@ -248,28 +248,28 @@ def be_main_all_n(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
                         "exponent": expo})
 
 
-def be_kappa(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
+def be_kappa(P, n: int) -> BoundReport:
     """max(9 kappa_1, 1.5 kappa_3)(P~ - N) / sqrt(n), n >= 2."""
-    prof = _profile(P, n, tol)
+    prof = _profile(P, n)
     rhs = max(9.0 * prof.kappa1, 1.5 * prof.kappa3) / math.sqrt(n)
     return BoundReport("be_kappa", rhs, n >= 2,
                        "" if n >= 2 else "needs n >= 2",
                        {"kappa1": prof.kappa1, "kappa3": prof.kappa3})
 
 
-def be_zeta3_only(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
+def be_zeta3_only(P, n: int) -> BoundReport:
     """34 (zeta_3^(1/3) v zeta_3)(P~ - N) / sqrt(n), n >= 2."""
-    prof = _profile(P, n, tol)
+    prof = _profile(P, n)
     rhs = CONSTANTS.c_zeta3 * max(prof.zeta3 ** (1.0 / 3.0), prof.zeta3) / math.sqrt(n)
     return BoundReport("be_zeta3_only", rhs, n >= 2,
                        "" if n >= 2 else "needs n >= 2",
                        {"zeta3": prof.zeta3})
 
 
-def esseen_asymptotic(P, tol: Tolerance = DEFAULT_TOL) -> float:
+def esseen_asymptotic(P) -> float:
     """Limit of sqrt(n) ||P~^{*n} - N||_K:
     (h(P~)/2 + |mu_3(P~)|/6) / sqrt(2 pi)."""
-    prof = _profile(P, math.inf, tol)
+    prof = _profile(P, math.inf)
     h = prof.span_std
     if math.isinf(h):
         raise ValueError("esseen_asymptotic needs a non-degenerate law")
@@ -279,11 +279,11 @@ def esseen_asymptotic(P, tol: Tolerance = DEFAULT_TOL) -> float:
 _SHIGANOV_C = {0: 1.8, 1: 4.2, 2: 13.5, 3: 35.0}
 
 
-def shiganov_family(P, n: int, r: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
+def shiganov_family(P, n: int, r: int) -> BoundReport:
     """c_r (nu_r^(1 ^ n/(r+1)) v nu_3)(P~ - N) / sqrt(n)."""
     if r not in _SHIGANOV_C:
         raise ValueError("shiganov family needs r in 0..3")
-    prof = _profile(P, n, tol)
+    prof = _profile(P, n)
     nur = prof.nu_diff[r]
     nu3 = prof.nu_diff[3]
     if not (math.isfinite(nur) and math.isfinite(nu3)):
@@ -295,11 +295,11 @@ def shiganov_family(P, n: int, r: int, tol: Tolerance = DEFAULT_TOL) -> BoundRep
                         "c": _SHIGANOV_C[r]})
 
 
-def shiganov_combined(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
+def shiganov_combined(P, n: int) -> BoundReport:
     """min over r from min(3, n-1) to 3 of the Shiganov family RHS."""
-    prof = _profile(P, n, tol)
+    prof = _profile(P, n)
     r_lo = min(3, n - 1)
-    reports = [shiganov_family(prof, n, r, tol) for r in range(r_lo, 4)]
+    reports = [shiganov_family(prof, n, r) for r in range(r_lo, 4)]
     applicable = [rep for rep in reports if rep.applicable]
     if not applicable:
         return BoundReport("shiganov_combined", math.inf, False,
@@ -309,10 +309,10 @@ def shiganov_combined(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
                        best.inputs | {"r": int(best.bound_id[-1])})
 
 
-def zolotarev_zeta1_bound(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
+def zolotarev_zeta1_bound(P, n: int) -> BoundReport:
     """xi(zeta_1, zeta_3)/sqrt(n), bounding zeta_1(P~^{*n} - N); the
     coarse 14 (zeta_1 v zeta_3)/sqrt(n) form is reported alongside."""
-    prof = _profile(P, n, tol)
+    prof = _profile(P, n)
     v = xi(prof.zeta1, prof.zeta3)
     coarse = CONSTANTS.c_zeta1_coarse * prof.zeta13 / math.sqrt(n)
     if not math.isfinite(v):
@@ -326,9 +326,9 @@ def zolotarev_zeta1_bound(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundRepor
                         "xi": v, "coarse": coarse})
 
 
-def goldstein_tyurin(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
+def goldstein_tyurin(P, n: int) -> BoundReport:
     """zeta_1(P~^{*n} - N) <= nu_3(P~) / sqrt(n)."""
-    prof = _profile(P, n, tol)
+    prof = _profile(P, n)
     if not math.isfinite(prof.nu3_std):
         return BoundReport("goldstein_tyurin", math.inf, False, "nu_3 infinite")
     return BoundReport("goldstein_tyurin", prof.nu3_std / math.sqrt(n),
@@ -336,8 +336,7 @@ def goldstein_tyurin(P, n: int, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
 
 
 def sampling_bound(population: LawSpec, n: int, N_pop: int,
-                   diversity: Optional[int] = None,
-                   tol: Tolerance = DEFAULT_TOL) -> Dict[str, BoundReport]:
+                   diversity: Optional[int] = None) -> Dict[str, BoundReport]:
     """Simple-random-sampling bounds for the empirical population law.
 
     Main form: (9/sqrt(n)) (zeta_1 v zeta_3)(P~ - N) + min((n-1)/2, d) n/N.
@@ -351,7 +350,7 @@ def sampling_bound(population: LawSpec, n: int, N_pop: int,
         raise ValueError("sampling_bound needs a finite atomic population law")
     d = diversity if diversity is not None else len(atoms)
     try:
-        prof = _profile(population, n, tol)
+        prof = _profile(population, n)
     except DegenerateLawError:
         return {"sampling_main": BoundReport("sampling_main", math.inf, False,
                                              "degenerate population (sigma = 0)"),
@@ -391,17 +390,17 @@ ALL_BOUND_IDS = ("be_main", "be_main_all_n", "be_kappa", "be_zeta3_only",
                  "goldstein_tyurin")
 
 
-def all_bounds(P, n: int, tol: Tolerance = DEFAULT_TOL) -> Dict[str, BoundReport]:
+def all_bounds(P, n: int) -> Dict[str, BoundReport]:
     """Every Kolmogorov-LHS bound (and the zeta_1-LHS ones) at once; raises
     ValueError for n < 1."""
-    prof = _profile(P, n, tol)
+    prof = _profile(P, n)
     return {
-        "be_main": be_main(prof, n, tol),
-        "be_main_all_n": be_main_all_n(prof, n, tol),
-        "be_kappa": be_kappa(prof, n, tol),
-        "be_zeta3_only": be_zeta3_only(prof, n, tol),
-        "be_classical": be_classical(prof, n, "c_Sh", tol),
-        "shiganov_combined": shiganov_combined(prof, n, tol),
-        "zolotarev_zeta1": zolotarev_zeta1_bound(prof, n, tol),
-        "goldstein_tyurin": goldstein_tyurin(prof, n, tol),
+        "be_main": be_main(prof, n),
+        "be_main_all_n": be_main_all_n(prof, n),
+        "be_kappa": be_kappa(prof, n),
+        "be_zeta3_only": be_zeta3_only(prof, n),
+        "be_classical": be_classical(prof, n),
+        "shiganov_combined": shiganov_combined(prof, n),
+        "zolotarev_zeta1": zolotarev_zeta1_bound(prof, n),
+        "goldstein_tyurin": goldstein_tyurin(prof, n),
     }

@@ -27,7 +27,7 @@ from .measures import (LawSpec, MeasureError, law_from_dict, signed_diff,
 from .metrics import (MassNotZeroError, MetricError, MomentConditionError,
                       kappa_r, kolmogorov, nu_r_signed, zeta_r)
 from .convolve import ConvolveError, ModeError, clt_lhs
-from .bounds import ALL_BOUND_IDS, all_bounds
+from .bounds import ALL_BOUND_IDS, all_bounds, distance_profile
 from . import paper_tables
 
 EXIT_OK = 0
@@ -65,12 +65,12 @@ class SpecParseError(Exception):
     pass
 
 
-def _fmt(x: float, json_mode: bool = False) -> str:
+def _fmt(x: float) -> str:
     if x is None:
         return ""
     if isinstance(x, float) and math.isinf(x):
         return "inf"
-    return f"{x:.12g}" if json_mode else f"{x:.6g}"
+    return f"{x:.6g}"
 
 
 def _round12(v):
@@ -134,11 +134,8 @@ def cmd_metric(args) -> int:
 
 def cmd_bounds(args) -> int:
     P = parse_spec(args.spec)
-    if args.bounds and not args.all_bounds:
-        wanted = args.bounds.split(",")
-    else:
-        wanted = list(ALL_BOUND_IDS)
-    reports = all_bounds(P, args.n, args.tol)
+    wanted = args.bounds.split(",") if args.bounds else list(ALL_BOUND_IDS)
+    reports = all_bounds(distance_profile(P, args.tol), args.n)
     rows = []
     lhs_val: Optional[float] = None
     lhs_reason = ""
@@ -190,9 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "evaluation on the real line")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--tol", type=float, default=None,
-                        help="absolute tolerance (default 1e-10 or $ZM_TOL)")
+    def common(sp, tol=False):
+        if tol:
+            sp.add_argument("--tol", type=float, default=None,
+                            help="absolute tolerance (default 1e-10 or $ZM_TOL)")
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--csv", action="store_true")
 
@@ -203,16 +201,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--metric", required=True,
                     choices=["K", "nu_r", "kappa_r", "zeta_r"])
     sp.add_argument("--r", type=float, default=1)
-    common(sp)
+    common(sp, tol=True)
     sp.set_defaults(func=cmd_metric)
 
     sp = sub.add_parser("bounds", help="bound RHS table for one law")
     sp.add_argument("--spec", required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--all", action="store_true", dest="all_bounds")
     sp.add_argument("--bounds", default=None,
                     help="comma-separated bound ids (default: all)")
-    common(sp)
+    common(sp, tol=True)
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("clt", help="exact / quadrature CLT left-hand side")
@@ -237,11 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        args.tol = resolve_tol(args.tol)
-    except ValueError as exc:
-        print(f"bad tolerance: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if "tol" in args:
+        try:
+            args.tol = resolve_tol(args.tol)
+        except ValueError as exc:
+            print(f"bad tolerance: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     try:
         return args.func(args)
     except SpecParseError as exc:

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, Tolerance, std_normal_cdf, std_normal_pdf
+from .numerics import std_normal_cdf, std_normal_pdf
 from .measures import (MAX_LATTICE_ENTRIES, Lattice, LawSpec, STANDARD_NORMAL, conv2_law,
                        lattice_span, signed_diff, standardise)
 from .metrics import MetricValue, kolmogorov
@@ -242,8 +242,7 @@ def clt_lhs(P: LawSpec, n: int, mode: str = "exact_lattice",
 
 
 def convolution_inequality_check(F1: LawSpec, F2: LawSpec,
-                                 H1: LawSpec, H2: LawSpec,
-                                 tol: Tolerance = DEFAULT_TOL) -> Tuple[float, float]:
+                                 H1: LawSpec, H2: LawSpec) -> Tuple[float, float]:
     """Both sides of the two-fold convolution smoothing inequality.
 
     lhs = sup |F_{F1*F2} - F_{H1*H2}|;
@@ -262,8 +261,8 @@ def convolution_inequality_check(F1: LawSpec, F2: LawSpec,
 
     L1 = lipschitz(H1)
     L2 = lipschitz(H2)
-    d1 = kappa_r(signed_diff(F1, H1), 1.0, tol).value
-    d2 = kappa_r(signed_diff(F2, H2), 1.0, tol).value
+    d1 = kappa_r(signed_diff(F1, H1), 1.0).value
+    d2 = kappa_r(signed_diff(F2, H2), 1.0).value
     rhs = (math.sqrt(L2 * d1) + math.sqrt(L1 * d2)) ** 2
     lhs = kolmogorov(signed_diff(conv2_law(F1, F2), conv2_law(H1, H2))).value
     return lhs, rhs

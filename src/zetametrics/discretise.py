@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .numerics import DEFAULT_TOL, Tolerance
 from .measures import (LawSpec, DegenerateLawError, histogram, rounded,
                        signed_diff, standardise)
 from .metrics import kappa_r
@@ -33,8 +32,7 @@ class RoundingGapReport:
     sigma_rounded: float
 
 
-def rounding_gaps(P: LawSpec, eta: float, alpha: float = 0.0,
-                  tol: Tolerance = DEFAULT_TOL) -> RoundingGapReport:
+def rounding_gaps(P: LawSpec, eta: float, alpha: float = 0.0) -> RoundingGapReport:
     """Exact and recomputed discretisation gaps of P at width eta.
 
     The zeta_3 entry is the closed-form bound
@@ -44,8 +42,8 @@ def rounding_gaps(P: LawSpec, eta: float, alpha: float = 0.0,
         raise ValueError("eta must be > 0")
     Prd = rounded(eta, alpha, P)
     Phist = histogram(eta, alpha, P)
-    gap_quad = kappa_r(signed_diff(Prd, Phist), 1.0, tol).value
-    z1_rd_base = kappa_r(signed_diff(Prd, P), 1.0, tol).value
+    gap_quad = kappa_r(signed_diff(Prd, Phist), 1.0).value
+    z1_rd_base = kappa_r(signed_diff(Prd, P), 1.0).value
     z3_bound = (eta ** 2 / 8.0) * (P.nu(1) + eta * P.nu(0))
     sigma = P.std
     if not sigma > 0:
@@ -55,7 +53,7 @@ def rounding_gaps(P: LawSpec, eta: float, alpha: float = 0.0,
     ref = None
     if sigma_rd > 0:
         z1_std = kappa_r(signed_diff(standardise(Prd), standardise(P)),
-                         1.0, tol).value
+                         1.0).value
         ref = eta / (4.0 * sigma_rd)
     return RoundingGapReport(
         eta=eta, alpha=alpha,

@@ -27,7 +27,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .numerics import (DEFAULT_TOL, DomainError, Tolerance, find_root,
+from .numerics import (DomainError, Tolerance, find_root,
                        gamma_ratio, integrate, on_array, reg_incomplete_gamma,
                        std_normal_cdf, std_normal_pdf, std_normal_quantile)
 
@@ -163,7 +163,7 @@ class LawSpec:
         # equal to_dict() values hash alike (1 == 1.0), unlike their reprs
         return hash(_frozen(self.to_dict()))
 
-    def _moment_quad(self, k: int, absolute: bool, tol: Tolerance = DEFAULT_TOL) -> float:
+    def _moment_quad(self, k: int, absolute: bool) -> float:
         lo, hi = self.support(1e-16)
         total = sum(w * (abs(a) ** k if absolute else a ** k) for a, w in self.atoms())
         if self.has_density:
@@ -604,6 +604,11 @@ class SignedMeasure(LawSpec):
 
     def mu(self, k):
         return sum(c * law.mu(k) for c, law in self.terms)
+
+    def nu(self, r):
+        raise MeasureError("a signed measure has no absolute moment of its own: "
+                           "use metrics.nu_r_signed for nu_r(|M|), or nu_upper "
+                           "for the triangle-inequality bound")
 
     def nu_upper(self, r: int) -> float:
         """Triangle-inequality bound sum |c_i| nu_r(P_i) (used for scales);
@@ -1092,12 +1097,17 @@ def reflect(P: LawSpec) -> LawSpec:
 
 
 def standardise(P: LawSpec) -> LawSpec:
+    """The law of (X - mean) / sigma.  A variance mu_2 - mu_1^2 at or below
+    16 eps mu_2, the rounding floor of that difference, is no spread."""
     if isinstance(P, Normal):
         return Normal(0.0, 1.0)
-    s = P.std
-    if not (s > 0) or not math.isfinite(s):
-        raise DegenerateLawError("standardise needs 0 < sigma < inf")
-    return affine(1.0 / s, -P.mean / s, P)
+    m1, m2 = P.mu(1), P.mu(2)
+    var = m2 - m1 ** 2
+    if not (var > 16.0 * np.finfo(float).eps * m2) or not math.isfinite(var):
+        raise DegenerateLawError("standardise needs 0 < sigma < inf, with sigma^2 "
+                                 "above 16 eps mu_2")
+    s = math.sqrt(var)
+    return affine(1.0 / s, -m1 / s, P)
 
 
 # -- lattice span -------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
-from .numerics import Tolerance
 from .measures import (SignedMeasure, STANDARD_NORMAL, atoms_law, normal,
                        rounded, signed_diff, standardise, subbotin, uniform,
                        lattice_span, convolve_signed)
@@ -59,13 +58,12 @@ def example_1_4() -> Tuple[List[Dict], bool]:
     """Discretised standard normal at eta in {1, 1/10, 1/100}."""
     rows: List[Dict] = []
     ok = True
-    tol = Tolerance(1e-10, 1e-8)
     for eta, quotes in _EXAMPLE_1_4_QUOTES.items():
         P = rounded(eta, 0.0, normal())
         Pt = standardise(P)
         M = signed_diff(Pt, STANDARD_NORMAL)
-        z1 = kappa_r(M, 1.0, tol).value
-        z3 = zeta_r(M, 3, tol).value
+        z1 = kappa_r(M, 1.0).value
+        z3 = zeta_r(M, 3).value
         esseen = (lattice_span(Pt) / 2.0 + abs(Pt.mu(3)) / 6.0) \
             / math.sqrt(2.0 * math.pi)
         ce_nu3 = CONSTANTS.c_E * Pt.nu(3)
@@ -92,7 +90,6 @@ def zolotarev_measure() -> SignedMeasure:
 
 def zolotarev_M() -> Tuple[List[Dict], bool]:
     M = zolotarev_measure()
-    tol = Tolerance(1e-10, 1e-8)
     rows: List[Dict] = []
     ok = True
 
@@ -107,24 +104,22 @@ def zolotarev_M() -> Tuple[List[Dict], bool]:
     M2 = convolve_signed(M, M)
     ok &= add("K(M*M)", kolmogorov(M2).value, 0.25)
     for r_ in range(4):
-        ok &= add(f"nu_{r_}(M)", nu_r_signed(M, r_, tol).value,
+        ok &= add(f"nu_{r_}(M)", nu_r_signed(M, r_).value,
                   3.0 ** (r_ / 2.0) / (r_ + 1.0) + 1.0)
-    for r_, kappa in zip((1, 2, 3), kappa_r(M, (1.0, 2.0, 3.0), tol)):
+    for r_, kappa in zip((1, 2, 3), kappa_r(M, (1.0, 2.0, 3.0))):
         exact = (3.0 ** (r_ / 2.0) + (2.0 * SQRT3 - 3.0) * r_ / 3.0 - 1.0) / (r_ + 1.0)
         ok &= add(f"kappa_{r_}(M)", kappa.value, exact)
-    ok &= add("zeta_1(M)", zeta_r(M, 1, tol).value, (5.0 * SQRT3 - 6.0) / 6.0)
-    ok &= add("zeta_3(M)", zeta_r(M, 3, tol).value, (3.0 * SQRT3 - 4.0) / 24.0)
-    ok &= add("zeta_4(M)", zeta_r(M, 4, tol).value, 1.0 / 30.0)
+    ok &= add("zeta_1(M)", zeta_r(M, 1).value, (5.0 * SQRT3 - 6.0) / 6.0)
+    ok &= add("zeta_3(M)", zeta_r(M, 3).value, (3.0 * SQRT3 - 4.0) / 24.0)
+    ok &= add("zeta_4(M)", zeta_r(M, 4).value, 1.0 / 30.0)
     return rows, ok
 
 
 def subbotin_table() -> Tuple[List[Dict], bool]:
     rows: List[Dict] = []
     ok = True
-    tol = Tolerance(1e-10, 1e-8)
-
     for beta, quote in ((1.0, "0.0875918"), (2.0, "<1e-9"), (math.inf, "0.0494551")):
-        r = _row(f"zeta3_subbotin[beta={beta}]", zeta3_to_normal(subbotin(beta), tol).value,
+        r = _row(f"zeta3_subbotin[beta={beta}]", zeta3_to_normal(subbotin(beta)).value,
                  quote)
         rows.append(r)
         ok &= r["ok"]

@@ -1,5 +1,6 @@
 """Constants, g / xi, and the bound evaluators."""
 
+import inspect
 import math
 
 import mpmath
@@ -330,3 +331,17 @@ class TestKolmogorovNormalPair:
 
     def test_symmetry(self):
         assert zm.kolmogorov_normal_pair(0.5, 2.0) == zm.kolmogorov_normal_pair(2.0, 0.5)
+
+
+class TestToleranceSurface:
+    # a bound reads its distances from a profile; another accuracy goes in
+    # through distance_profile(P, tol), the one place that integrates
+    NO_TOL = ("be_classical", "be_main", "be_main_all_n", "be_kappa",
+              "be_zeta3_only", "esseen_asymptotic", "shiganov_family",
+              "shiganov_combined", "zolotarev_zeta1_bound", "goldstein_tyurin",
+              "sampling_bound", "all_bounds", "convolution_inequality_check",
+              "rounding_gaps")
+
+    @pytest.mark.parametrize("name", NO_TOL)
+    def test_no_tol_parameter(self, name):
+        assert "tol" not in inspect.signature(getattr(zm, name)).parameters

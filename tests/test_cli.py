@@ -176,6 +176,34 @@ class TestBoundsCommand:
         assert abs(float(rows["be_main"]["rhs"]) - 0.2249 / math.sqrt(2)) < 2e-4
         assert float(rows["be_main"]["rhs"]) < float(rows["be_classical"]["rhs"])
 
+    def test_tol_goes_through_the_profile(self, capsys):
+        import zetametrics as zm
+        spec = '{"family":"rounded","eta":0.5,"alpha":0.0,"base":{"family":"normal"}}'
+        rc = cli.main(["bounds", "--spec", spec, "--n", "4", "--tol", "1e-6", "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        reports = zm.all_bounds(zm.distance_profile(cli.parse_spec(spec),
+                                                    zm.Tolerance(1e-6)), 4)
+        assert [(r["bound"], r["rhs"], r["applicable"], r["reason"]) for r in out] == \
+            [(b, cli._round12(rep.rhs), rep.applicable, rep.reason)
+             for b, rep in reports.items()]
+
+    def test_degenerate_law_reported_before_n(self, capsys):
+        rc = cli.main(["bounds", "--spec", '{"family":"dirac","a":1}', "--n", "0"])
+        assert rc == 3
+        assert "standardise needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["clt", "--spec", BERN, "--n", "4", "--tol", "1e-3"],
+        ["paper-tables", "constants", "--tol", "1e-3"],
+        ["bounds", "--spec", BERN, "--n", "4", "--all"]])
+    def test_removed_options_exit_2(self, capsys, args):
+        # --tol only where a tolerance is read; --all selected what the default does
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCltCommand:
     def test_sweep(self, capsys):
@@ -251,6 +279,11 @@ class TestEnvTol:
         assert rc == 2
         assert err.strip().splitlines() == [
             f"bad tolerance: --tol must be a positive number, got {float(value)!r}"]
+
+    def test_zm_tol_unread_by_clt(self, monkeypatch, capsys):
+        # clt reads no tolerance, so a malformed ZM_TOL does not stop it
+        monkeypatch.setenv("ZM_TOL", "abc")
+        assert cli.main(["clt", "--spec", BERN, "--n", "4"]) == 0
 
     def test_tol_flag_overrides_env(self, monkeypatch):
         monkeypatch.setenv("ZM_TOL", "abc")

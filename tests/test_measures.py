@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import zetametrics as zm
-from zetametrics.measures import DegenerateLawError, InfiniteMomentError
+from zetametrics.measures import DegenerateLawError, InfiniteMomentError, MeasureError
 
 RNG = np.random.default_rng(7)
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -430,6 +430,23 @@ class TestTransforms:
         with pytest.raises(DegenerateLawError):
             zm.standardise(zm.dirac(1.0))
 
+    def test_point_mass_below_rounding_floor_is_degenerate(self):
+        # the window keeps one atom, but mu_2 - mu_1^2 comes out as 2.2e-16:
+        # below 16 eps mu_2 it is rounding, not spread
+        P = zm.affine(-0.5, 0.1796090289055119, zm.truncate(
+            zm.atoms_law([(-1.065897190058088, 0.6387016723928906),
+                          (2.0343098485038125, 0.3612983276071094)]),
+            -0.4458557823457079, 2.0343098485038125))
+        assert len(P.atoms()) == 1 and P.variance > 0.0
+        with pytest.raises(DegenerateLawError):
+            zm.standardise(P)
+        with pytest.raises(DegenerateLawError):
+            zm.distance_profile(P)
+
+    def test_narrow_law_above_rounding_floor_standardises(self):
+        Pt = zm.standardise(zm.atoms_law([(0.0, 0.5), (1e-6, 0.5)]))
+        assert [x for x, _ in Pt.atoms()] == pytest.approx([-1.0, 1.0], abs=1e-9)
+
     @pytest.mark.parametrize("eta", [2.0, 1.0, 0.5, 0.25, 0.1])
     def test_affine_rounding_is_an_exact_lattice(self, eta):
         # an affine image of a rounding is an Atoms law, so its cdf at its
@@ -485,6 +502,14 @@ class TestSignedMeasures:
         assert zm.nu_r_signed(M, 0).value == 2.0
         assert zm.kolmogorov(M).value == 1.0
         assert zm.signed_diff(zm.dirac(0.5), zm.atoms_law([(0.5, 1.0)])).atoms() == []
+
+    def test_nu_is_no_absolute_moment(self):
+        # the integral of |x|^r against M (0.298 at r = 1 here) is no moment
+        # of |M| (0.670); the error names the two routines that give one
+        M = zm.signed_diff(zm.normal(), zm.uniform(-1, 1))
+        with pytest.raises(MeasureError, match="nu_r_signed.*nu_upper"):
+            M.nu(1)
+        assert zm.nu_r_signed(M, 1).value <= M.nu_upper(1)
 
     def test_mixture_atoms_merge_only_when_equal(self):
         # Mixture.cdf sums the parts' own CDFs, as SignedMeasure.cdf does
