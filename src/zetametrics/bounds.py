@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, Tolerance, golden_section
+from .numerics import DEFAULT_TOL, Tolerance, golden_section, std_normal_cdf
 from .measures import (DegenerateLawError, LawSpec, STANDARD_NORMAL, lattice_span,
                        signed_diff, standardise)
 from .metrics import kappa_r, nu_r_signed, zeta3_to_normal
@@ -380,7 +380,6 @@ def kolmogorov_normal_pair(sigma: float, tau: float) -> float:
     omega = hi / lo
     if omega == 1.0:
         return 0.0
-    from .numerics import std_normal_cdf
     x = math.sqrt(2.0 * math.log(omega) / (omega * omega - 1.0))
     return float(std_normal_cdf(omega * x) - std_normal_cdf(x))
 

@@ -21,7 +21,7 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-from .numerics import DomainError, Tolerance
+from .numerics import DomainError, NumericsError, Tolerance
 from .measures import (LawSpec, MeasureError, law_from_dict, signed_diff,
                        STANDARD_NORMAL)
 from .metrics import (MassNotZeroError, MetricError, MomentConditionError,
@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     except (MomentConditionError, MassNotZeroError, ModeError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (MetricError, ConvolveError, MeasureError, ValueError) as exc:
+    except (MetricError, ConvolveError, MeasureError, NumericsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

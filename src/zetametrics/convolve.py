@@ -20,10 +20,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .numerics import std_normal_cdf, std_normal_pdf
-from .measures import (MAX_LATTICE_ENTRIES, Lattice, LawSpec, STANDARD_NORMAL, conv2_law,
-                       lattice_span, signed_diff, standardise)
-from .metrics import MetricValue, kolmogorov
+from .numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
+from .measures import (MAX_LATTICE_ENTRIES, Lattice, LawSpec, Rounded, STANDARD_NORMAL,
+                       conv2_law, lattice_span, signed_diff, standardise)
+from .metrics import MetricValue, kappa_r, kolmogorov
 # powers with at most this many entries are convolved directly; past it,
 # the base is squared directly while it stays within it, then FFT-powered
 _DIRECT_CAP = 4096
@@ -155,7 +155,6 @@ def wasserstein_lattice_vs_normal(L: Lattice, mean: float, sd: float) -> float:
     quantile when Phi crosses the level c.  This is the zeta_1 = kappa_1
     distance of the standardised lattice law to N.
     """
-    from .numerics import std_normal_quantile
     xs = (L._locs - mean) / sd
     cum = L._cum[1:]
     a = xs[:-1]
@@ -226,7 +225,6 @@ def clt_lhs(P: LawSpec, n: int, mode: str = "exact_lattice",
     if mode == "lattice_approx":
         if eta is None or eta <= 0:
             raise ModeError("lattice_approx requires eta > 0")
-        from .measures import Rounded
         Prd = Rounded(eta, alpha, P)
         out = clt_lhs(Prd, n, mode="exact_lattice")
         # heuristic discretisation error from zeta_1 rounding ~ eta/4,
@@ -249,8 +247,6 @@ def convolution_inequality_check(F1: LawSpec, F2: LawSpec,
     rhs = (sqrt(L2 * |F1-H1|_1) + sqrt(L1 * |F2-H2|_1))^2
     with L_i the Lipschitz constant (sup density) of H_i.
     """
-    from .metrics import kappa_r
-
     def lipschitz(H: LawSpec) -> float:
         if not H.has_density or H.atoms():
             raise ConvolveError("H factors must be Lipschitz laws "

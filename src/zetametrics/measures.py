@@ -7,12 +7,12 @@ nodes (mixture, affine image, rounding, histogram, truncation, two-fold
 convolution).  Every law exposes exact CDF / left CDF evaluation, its
 atom list and continuous density, moments, and an effective support
 window.  Moments rest on one primitive, the closed partial moment
-E[X^k; X <= x] (``partial_mu``) of the normal, uniform, gamma_power and
-histogram laws and of truncations and affine images of these: mu_k is
-its value at x = inf, and nu_r is mu_r for even r and
+E[X^k; X <= x] (``partial_mu``) of the normal (at every order), uniform,
+gamma_power and histogram laws and of truncations and affine images of
+these: mu_k is its value at x = inf, and nu_r is mu_r for even r and
 mu_r - 2 E[X^r; X <= 0] for odd r.  Exact closed full moments (of the
-atomic, normal, gamma, Subbotin, mixture and two-fold convolution laws)
-stand in for it; any other moment is integrated.  ``SignedMeasure`` is a
+atomic, normal, Subbotin, mixture and two-fold convolution laws) stand
+in for it; any other moment is integrated.  ``SignedMeasure`` is a
 finite real linear combination of laws and a ``LawSpec`` itself;
 ``Mixture`` is the signed measure whose coefficients are probability
 weights.
@@ -29,7 +29,8 @@ import numpy as np
 
 from .numerics import (DomainError, Tolerance, find_root,
                        gamma_ratio, integrate, on_array, reg_incomplete_gamma,
-                       std_normal_cdf, std_normal_pdf, std_normal_quantile)
+                       std_normal_cdf, std_normal_partial_moments, std_normal_pdf,
+                       std_normal_quantile)
 
 ATOM_MERGE_RTOL = 1e-12
 SUPPORT_EPS = 1e-15
@@ -114,7 +115,8 @@ class LawSpec:
 
     # -- moments: from partial_mu where a law has one, else by quadrature
     def partial_mu(self, k: int, x: float) -> float:
-        """Partial moment E[X^k; X <= x] for k in 0..4, in closed form."""
+        """Partial moment E[X^k; X <= x] in closed form; NotImplementedError
+        where a law has none."""
         raise NotImplementedError
 
     def mu(self, k: int) -> float:
@@ -287,12 +289,6 @@ class Bernoulli(Lattice):
         self.p = p
         super().__init__(0.0, 1.0, [1.0 - p, p])
 
-    def mu(self, k):
-        return self.p if k >= 1 else 1.0
-
-    def nu(self, r):
-        return self.p if r >= 1 else 1.0
-
     def to_dict(self):
         return {"family": "bernoulli", "p": self.p}
 
@@ -337,20 +333,11 @@ class Normal(LawSpec):
         return super().mu(k)
 
     def partial_mu(self, k: int, x: float) -> float:
-        """E[X^k; X <= x] for k in 0..4: the binomial expansion in mu_loc and
-        sigma of the standard normal's E[Z^j; Z <= z] from Phi(z) and phi(z).
-        Saturates for |z| > 40, as std_normal_cdf does.  Higher orders are
-        left to quadrature."""
-        if not 0 <= k <= 4:
-            raise NotImplementedError
-        z = (x - self.mu_loc) / self.sigma
-        if z < -40.0:
-            low = [0.0] * 5
-        elif z > 40.0:
-            low = [1.0, 0.0, 1.0, 0.0, 3.0]
-        else:
-            c, p = std_normal_cdf(z), std_normal_pdf(z)
-            low = [c, -p, c - z * p, -(z * z + 2.0) * p, 3.0 * c - (z ** 3 + 3.0 * z) * p]
+        """E[X^k; X <= x]: the binomial expansion in mu_loc and sigma of the
+        standard normal's E[Z^j; Z <= z].  z is clamped to [-40, 40], where
+        both moments saturate, as std_normal_cdf does."""
+        z = min(max((x - self.mu_loc) / self.sigma, -40.0), 40.0)
+        low = std_normal_partial_moments(z, k + 1)
         m, s = self.mu_loc, self.sigma
         return sum(math.comb(k, j) * m ** (k - j) * s ** j * low[j] for j in range(k + 1))
 
@@ -470,19 +457,12 @@ class GammaPower(LawSpec):
         alpha*beta < 1 the density packs mass unresolvably close to 0)."""
         if k == 0:
             return float(self.cdf(x))
-        if not self.moment_exists(k):
-            raise InfiniteMomentError(f"partial moment {k} infinite")
+        full = self.nu(k)            # raises InfiniteMomentError where it is infinite
         if x <= 0:
             return 0.0
-        full = self.nu(k)
         a_shift = self.alpha + k / self.beta
         p = reg_incomplete_gamma(a_shift, self.lam * self._power(np.float64(x)))
         return full * (p if self.beta > 0 else 1.0 - p)
-
-    def mu(self, k):
-        if k == 0:
-            return 1.0
-        return self.nu(k)
 
     def nu(self, r):
         if r == 0:

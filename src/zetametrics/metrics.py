@@ -8,7 +8,8 @@ r = 1..4 via iterated integrated distribution functions
 
 Two evaluation engines coexist: a closed-form one for measures whose
 components are atoms, normals, uniforms, histograms, positive affine images
-and mixtures of these (then every F_k is an explicit formula), and a
+and mixtures of these (then every F_k is one formula over the truncated
+moments E[X^j; X <= x] of each component), and a
 quadrature one stacking Gauss-Legendre panel antiderivatives
 (numerics.cumulative_integral).  zeta_r integrates |F_r| by locating its
 sign changes and telescoping F_{r+1} across the segments.
@@ -24,7 +25,8 @@ import numpy as np
 
 from .numerics import (DEFAULT_TOL, Tolerance, cumulative_integral,
                        golden_section, integrate, on_array, refine_grid,
-                       scan_sign_changes, sign_roots, std_normal_cdf, std_normal_pdf)
+                       scan_sign_changes, sign_roots, std_normal_partial_moments,
+                       std_normal_pdf)
 from .measures import (Affine, Atoms, Conv2, HistogramLaw, InfiniteMomentError,
                        LawSpec, Normal, SignedMeasure, Uniform,
                        STANDARD_NORMAL, signed_diff, standardise)
@@ -61,69 +63,60 @@ class MetricValue:
 # closed-form integrated distribution functions F_{law,k}
 # ---------------------------------------------------------------------------
 
-def _stack_normal_std(k: int, x: np.ndarray) -> np.ndarray:
-    """F_{N,k}(x) for the standard normal, k = 1..5."""
-    Phi = std_normal_cdf(x)
-    phi = std_normal_pdf(x)
-    if k == 1:
-        return Phi
-    if k == 2:
-        return -(phi + x * Phi)
-    if k == 3:
-        return ((1.0 + x * x) * Phi + x * phi) / 2.0
-    if k == 4:
-        return -((x * x + 2.0) * phi + (x ** 3 + 3.0 * x) * Phi) / 6.0
-    if k == 5:
-        return ((x ** 4 + 6.0 * x * x + 3.0) * Phi + (x ** 3 + 5.0 * x) * phi) / 24.0
-    raise MetricError(f"stack order {k} not implemented for normal")
+def _from_moments(x: np.ndarray, moments: Sequence) -> np.ndarray:
+    """F_k(x) = sum_j C(k-1, j) (-x)^(k-1-j) m_j(x) / (k-1)! of a law with
+    the truncated moments m_j(x) = E[X^j; X <= x], j < k = len(moments).
+    Factors that are exactly 1 (C(k-1, 0), C(k-1, k-1), (-x)^0, 1/0! and
+    1/1!) are left out: they change no bit and each costs a pass over x."""
+    k, nx = len(moments), -x
+    out = None
+    for j, m in enumerate(moments):
+        c = math.comb(k - 1, j)
+        term = m if c == 1 else c * m
+        if j < k - 1:
+            term = term * nx ** (k - 1 - j)
+        out = term if out is None else out + term
+    return out if k <= 2 else out / math.factorial(k - 1)
 
 
-class _AtomStack:
-    """x -> F_k(x) of signed atoms, O(log n) per point from the prefix sums
-    of w * loc^m for m < k."""
+def _atom_stack(locs: np.ndarray, wts: np.ndarray, k: int) -> Callable:
+    """x -> F_k(x) of the signed atoms w at locs, O(log n) per point from
+    the prefix sums of w * loc^j for j < k."""
+    order = np.argsort(locs, kind="stable")
+    locs = locs[order]
+    prefix = [np.concatenate([[0.0], np.cumsum(wts[order] * locs ** j)]) for j in range(k)]
 
-    def __init__(self, atoms, k: int):
-        locs = np.array([a for a, _ in atoms])
-        wts = np.array([w for _, w in atoms])
-        order = np.argsort(locs, kind="stable")
-        self.k, self.locs = k, locs[order]
-        self.prefix = [np.concatenate([[0.0], np.cumsum(wts[order] * self.locs ** m)])
-                       for m in range(k)]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        k = self.k
-        idx = np.searchsorted(self.locs, x, side="right")
-        out = np.zeros_like(x)
-        for m in range(k):
-            out = out + math.comb(k - 1, m) * self.prefix[m][idx] * (-x) ** (k - 1 - m)
-        return out / math.factorial(k - 1)
-
-
-def _stack_uniform(k: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
-    fact = math.factorial(k)
-    width = b - a
-    inside = -np.power(a - x, k) / (fact * width)
-    beyond = (np.power(b - x, k) - np.power(a - x, k)) / (fact * width)
-    return np.where(x <= a, 0.0, np.where(x <= b, inside, beyond))
+    def stack(x):
+        idx = np.searchsorted(locs, x, side="right")
+        return _from_moments(x, [p[idx] for p in prefix])
+    return stack
 
 
 def closed_stack_evaluator(law: LawSpec, k: int) -> Optional[Callable]:
     """x -> F_{law,k}(x) on 1-D arrays, or None when no closed form exists."""
     if isinstance(law, Normal):
         mu, s = law.mu_loc, law.sigma
-        return lambda x: s ** (k - 1) * _stack_normal_std(k, (x - mu) / s)
-    if isinstance(law, Uniform):
-        return lambda x: _stack_uniform(k, law.a, law.b, x)
+
+        def normal(x):
+            z = (x - mu) / s
+            return s ** (k - 1) * _from_moments(z, std_normal_partial_moments(z, k))
+        return normal
     if isinstance(law, Atoms):           # roundings and diracs too
-        return _AtomStack(law.atoms(), k)
+        return _atom_stack(law._locs, law._wts, k)
     if isinstance(law, HistogramLaw):
         # F_k of a uniform cell of mass w on [lo, hi] is F_{k+1} of the atoms
         # -w/eta at lo and +w/eta at hi; listed cell by cell, so that the stable
         # sort adds each pair to the prefix sums before the next (more accurate)
         centers, w = law._cells()
         h = law.eta / 2.0
-        return _AtomStack(list(zip(np.c_[centers - h, centers + h].ravel(),
-                                   np.c_[-w, w].ravel() / law.eta)), k + 1)
+        return _atom_stack(np.c_[centers - h, centers + h].ravel(),
+                           np.c_[-w, w].ravel() / law.eta, k + 1)
+    if isinstance(law, Uniform):
+        # one cell, centred on itself: atoms at a and b would round F_k far
+        # from 0 to eps |x|^k / (b - a), not to eps times the cell's scale
+        width, mid = law.b - law.a, (law.a + law.b) / 2.0
+        cell = _atom_stack(np.array([-width, width]) / 2.0, np.array([-1.0, 1.0]) / width, k + 1)
+        return lambda x: cell(x - mid)
     if isinstance(law, Affine) and law.c > 0:
         base = closed_stack_evaluator(law.base, k)
         if base is None:

@@ -1,15 +1,15 @@
 """Low-level numerical kernels shared by all other modules.
 
-Special functions (normal CDF/quantile; regularized incomplete gamma on a
-float, or in lockstep over the elements of an array), adaptive
-Gauss-Legendre quadrature of vectorized integrands on finite intervals
-(many intervals share each round), cumulative integrals on a
-breakpoint grid from the antiderivatives of the same Gauss-Legendre
-panels, bracketed root finding and golden-section minimisation (each
-runs many brackets in lockstep, one vectorized call per step), grid
-refinement, and sign-change counting and root location.  Everything
-here is pure and operates on plain floats / numpy arrays; no
-probability-specific types appear.
+Special functions (normal CDF, quantile and truncated moments;
+regularized incomplete gamma on a float, or in lockstep over the
+elements of an array), adaptive Gauss-Legendre quadrature of vectorized
+integrands on finite intervals (many intervals share each round),
+cumulative integrals on a breakpoint grid from the antiderivatives of
+the same Gauss-Legendre panels, bracketed root finding and
+golden-section minimisation (each runs many brackets in lockstep, one
+vectorized call per step), grid refinement, and sign-change counting
+and root location.  Everything here is pure and operates on plain
+floats / numpy arrays; no probability-specific types appear.
 """
 
 from __future__ import annotations
@@ -100,6 +100,17 @@ def _phi_scalar(x: float) -> float:
     if x < -40.0:
         return 0.0
     return 0.5 * math.erfc(-x / _SQRT2)
+
+
+def std_normal_partial_moments(z, k: int) -> list:
+    """[E[Z^j; Z <= z] for j < k] of the standard normal at a finite z
+    (float or array), by the recurrence T_j = (j-1) T_{j-2} - z^(j-1) phi(z)
+    from T_0 = Phi(z) and T_1 = -phi(z)."""
+    phi = std_normal_pdf(z)
+    out = [std_normal_cdf(z), -phi]
+    for j in range(2, k):
+        out.append((j - 1) * out[j - 2] - z ** (j - 1) * phi)
+    return out[:k]
 
 
 # Acklam-style rational initial guess, polished by two Newton steps on erfc.

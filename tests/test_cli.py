@@ -113,6 +113,14 @@ class TestMetricCommand:
         assert rc == 3
         assert "mu_3" in err
 
+    def test_numerics_error_exit_3(self):
+        # the inverse gamma's kappa_1 ends in a ConvergenceError: one error
+        # line, no traceback, and not exit 1, the reproduction-gate code
+        spec = '{"family":"gamma_power","alpha":2,"lambda":1,"beta":-1}'
+        proc = run_cli(["metric", "--spec", spec, "--metric", "kappa_r", "--r", "1"])
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == ["error: quadrature did not converge"]
+
 
 class TestBoundsCommand:
     def test_table_and_lhs(self, capsys):

@@ -323,8 +323,8 @@ class TestPartialMoments:
         assert abs(P.nu(2) - 1.0) <= 1e-15
 
     def test_orders_above_four_by_quadrature(self):
-        # partial_mu is closed for orders 0..4 only; higher ones are
-        # integrated, not refused
+        # orders above 4 are computed, not refused: closed for normal-based
+        # laws, integrated where a law has no closed partial_mu
         N = zm.normal(0.5, 2.0)
         assert zm.normal().nu(5) == pytest.approx(8.0 * math.sqrt(2.0 / math.pi), rel=1e-10)
         assert N.nu(6) == pytest.approx(1143.765625, rel=1e-10)
@@ -339,10 +339,19 @@ class TestPartialMoments:
         import mpmath as mp
         N = zm.normal(0.5, 2.0)
         for x in (-7.0, -1.0, 0.5, 3.0, 9.0):
-            for k in range(5):
+            for k in range(7):
                 want = float(mp_window_moment(k, False, -mp.inf, x, 0.5, 2.0)
                              * mp.ncdf(x, 0.5, 2.0))
                 assert abs(N.partial_mu(k, x) - want) <= 1e-15 * max(1.0, abs(want))
+
+    def test_normal_high_moments_closed(self, monkeypatch):
+        # the truncated moments' recurrence serves every order: nu_5 takes
+        # no quadrature (the value is mpmath's integral of |x|^5 phi)
+        def refused(*args):
+            raise AssertionError("quadrature called")
+        monkeypatch.setattr(zm.LawSpec, "_moment_quad", refused)
+        N = zm.normal(0.5, 2.0)
+        assert N.nu(5) == pytest.approx(236.67354560324819, rel=1e-14)
 
     @pytest.mark.parametrize("t", [-0.5, 0.0, 1.5, 4.0])
     def test_truncated_and_winsorised_moments_against_mpmath(self, t):

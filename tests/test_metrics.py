@@ -515,6 +515,58 @@ class TestClosedStackAvailability:
                         worst = max(worst, abs(float(ref - g)))
         assert worst <= 1.07e-10
 
+    def test_normal_stack_against_mpmath(self):
+        """F_{N(m,s),k}(x) = (-1)^(k-1) s^(k-1) exp(-z^2/4) D_{-k}(-z) / sqrt(2 pi),
+        z = (x - m)/s, with D the parabolic cylinder function, for k = 1..6:
+        every order, not only those with a hand-written formula."""
+        xs = np.linspace(-12.0, 12.0, 97)
+        M = zm.SignedMeasure([(1.0, zm.normal(0.5, 2.0))])
+        with mpmath.workdps(40):
+            for k in range(1, 7):
+                got = closed_measure_stack(M, k)(xs)
+                for x, g in zip(xs.tolist(), got.tolist()):
+                    z = (mpmath.mpf(x) - mpmath.mpf(0.5)) / 2
+                    ref = float((-1) ** (k - 1) * mpmath.mpf(2) ** (k - 1)
+                                * mpmath.exp(-z * z / 4) * mpmath.pcfd(-k, -z)
+                                / mpmath.sqrt(2 * mpmath.pi))
+                    assert abs(g - ref) <= 16 * np.finfo(float).eps * max(1.0, abs(ref)), (k, x)
+
+    @pytest.mark.parametrize("a,b", [(-SQRT3, SQRT3), (3.0, 9.0), (10.0, 12.0),
+                                     (100.0, 102.0), (-5.0, -4.5)])
+    def test_uniform_stack_against_exact(self, a, b):
+        """F_k = (-1)^(k-1) ((x - a)_+^k - (x - b)_+^k) / (k! (b - a)), k = 1..5,
+        from the one-cell stack, centred on its cell also far from 0."""
+        w = b - a
+        xs = np.linspace(a - 0.9871 * w, b + 1.0123 * w, 101)
+        M = zm.SignedMeasure([(1.0, zm.uniform(a, b))])
+        with mpmath.workdps(40):
+            lo, hi = mpmath.mpf(a), mpmath.mpf(b)
+            for k in range(1, 6):
+                got = closed_measure_stack(M, k)(xs)
+                for x, g in zip(xs.tolist(), got.tolist()):
+                    ref = float((-1) ** (k - 1) * (max(x - lo, 0) ** k - max(x - hi, 0) ** k)
+                                / (mpmath.factorial(k) * (hi - lo)))
+                    assert abs(g - ref) <= 2e-15 * max(1.0, abs(ref)), (k, x)
+
+    @pytest.mark.parametrize("c,d", [(1.0, 0.0), (1.0, 100.0), (1.0, -250.0),
+                                     (577.0, 0.0), (4.0, 37.0)])
+    def test_uniform_minus_normal_zeta4(self, c, d):
+        """zeta_4(U - N) = |mu_4(U) - mu_4(N)| / 24 = c^4 / 20 for the uniform
+        with the normal's mean d and sd c: its stack stays accurate away
+        from 0 and on a wide cell."""
+        M = zm.signed_diff(zm.uniform(d - c * SQRT3, d + c * SQRT3), zm.normal(d, c))
+        v = zm.zeta_r(M, 4)
+        assert v.method == "closed_form"
+        assert abs(v.value - c ** 4 / 20.0) <= v.err_est
+
+    def test_engine_choice(self):
+        # no closed stack: the truncated and winsorised normals, the two
+        # gamma_power laws, the Subbotin law and the truncated normal window
+        no_stack = [False, False, False, True, True, True, True, True,
+                    False, False, False, True, False]
+        for k in range(1, 6):
+            assert [closed_measure_stack(M, k) is None for M in SCALAR_MEASURES] == no_stack
+
     def test_unsupported_falls_back(self):
         M = zm.signed_diff(zm.standardise(zm.gamma_power(2.0)), zm.STANDARD_NORMAL)
         assert closed_measure_stack(M, 3) is None
