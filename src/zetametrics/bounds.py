@@ -1,9 +1,11 @@
 """Right-hand sides of the Berry-Esseen type error bounds.
 
 Every evaluator returns a BoundReport carrying the numeric RHS, an
-applicability flag with reason (n-range / moment requirements), and the
-metric inputs consumed, so bound sweeps can tabulate "n/a" instead of
-raising.  The distance inputs are collected once per law in a
+applicability flag with reason (n-range / moment requirements), the
+metric inputs consumed and the metric its RHS bounds: "K" for the
+Kolmogorov distance ||P~^{*n} - N||_K, "zeta1" for zeta_1(P~^{*n} - N).
+The table _BOUNDS holds each bound of all_bounds with its smallest n
+and that metric.  The distance inputs are collected once per law in a
 NormalDistanceProfile and shared across the bound family.
 """
 
@@ -51,7 +53,6 @@ class Constants:
     c_main: float = 9.0
     c_zeta1_coarse: float = 14.0
     c_zeta3: float = 34.0
-    c_GT: float = 1.0
     c_hoeglund: float = 82.4
 
     @property
@@ -100,22 +101,15 @@ class BoundReport:
     applicable: bool
     reason: str = ""
     inputs: Dict[str, float] = field(default_factory=dict)
+    metric: str = "K"
 
 
 # ---------------------------------------------------------------------------
 # Zolotarev's xi
 # ---------------------------------------------------------------------------
 
-_XI_GRID = None
-_XI_GVALS = None
-
-
-def _xi_scan_grid():
-    global _XI_GRID, _XI_GVALS
-    if _XI_GRID is None:
-        _XI_GRID = np.concatenate([[0.0], np.logspace(-6, 5, 1024)])
-        _XI_GVALS = g_eta(_XI_GRID)
-    return _XI_GRID, _XI_GVALS
+_XI_GRID = np.concatenate([[0.0], np.logspace(-6, 5, 1024)])
+_XI_GVALS = g_eta(_XI_GRID)
 
 
 def xi(kappa: float, zeta: float) -> float:
@@ -133,11 +127,9 @@ def xi(kappa: float, zeta: float) -> float:
     C = CONSTANTS
     if zeta == 0.0:
         return kappa
-    grid, gvals = _xi_scan_grid()
-    hi = 10.0 * (1.0 + kappa + zeta)
-    sel = grid <= hi
-    etas = grid[sel]
-    gs = gvals[sel]
+    sel = _XI_GRID <= 10.0 * (1.0 + kappa + zeta)
+    etas = _XI_GRID[sel]
+    gs = _XI_GVALS[sel]
     denom = 1.0 - C.gamma_Z * gs * zeta
     feas = denom > 0.0
     if not np.any(feas):
@@ -216,26 +208,34 @@ def _profile(P_or_prof, n) -> NormalDistanceProfile:
 # the bounds
 # ---------------------------------------------------------------------------
 
-def be_classical(P, n: int, constant: str | float = "c_Sh") -> BoundReport:
-    """Classical Berry-Esseen RHS c * nu_3(P~) / sqrt(n)."""
+def _needs(n: int, n_min: int) -> str:
+    return f"needs n >= {n_min}" if n < n_min else ""
+
+
+def _report(bound_id: str, rhs: float, n: int, inputs: Dict[str, float],
+            reason: str = "") -> BoundReport:
+    """The report of the table bound bound_id at n summands: applicable
+    when n reaches the bound's smallest n and rhs is finite."""
+    _, n_min, metric = _BOUNDS[bound_id]
+    return BoundReport(bound_id, rhs, n >= n_min and math.isfinite(rhs),
+                       reason or _needs(n, n_min), inputs, metric)
+
+
+def be_classical(P, n: int) -> BoundReport:
+    """Classical Berry-Esseen RHS c_Sh * nu_3(P~) / sqrt(n)."""
     prof = _profile(P, n)
-    c = {"c_Sh": CONSTANTS.c_Sh, "c_E": CONSTANTS.c_E}.get(constant, constant)
     if not math.isfinite(prof.nu3_std):
-        return BoundReport("be_classical", math.inf, False, "nu_3 infinite")
-    rhs = float(c) * prof.nu3_std / math.sqrt(n)
-    return BoundReport("be_classical", rhs, True, "",
-                       {"nu3_std": prof.nu3_std, "c": float(c)})
+        return _report("be_classical", math.inf, n, {}, "nu_3 infinite")
+    c = CONSTANTS.c_Sh
+    return _report("be_classical", c * prof.nu3_std / math.sqrt(n), n,
+                   {"nu3_std": prof.nu3_std, "c": c})
 
 
 def be_main(P, n: int) -> BoundReport:
     """(9 / sqrt(n)) (zeta_1 v zeta_3)(P~ - N), valid for n >= 2."""
     prof = _profile(P, n)
-    rhs = CONSTANTS.c_main * prof.zeta13 / math.sqrt(n)
-    if n < 2:
-        return BoundReport("be_main", rhs, False, "needs n >= 2",
-                           {"zeta1": prof.zeta1, "zeta3": prof.zeta3})
-    return BoundReport("be_main", rhs, True, "",
-                       {"zeta1": prof.zeta1, "zeta3": prof.zeta3})
+    return _report("be_main", CONSTANTS.c_main * prof.zeta13 / math.sqrt(n), n,
+                   {"zeta1": prof.zeta1, "zeta3": prof.zeta3})
 
 
 def be_main_all_n(P, n: int) -> BoundReport:
@@ -243,27 +243,22 @@ def be_main_all_n(P, n: int) -> BoundReport:
     prof = _profile(P, n)
     expo = min(1.0, n / 2.0)
     rhs = CONSTANTS.c_main * max(prof.zeta1 ** expo, prof.zeta3) / math.sqrt(n)
-    return BoundReport("be_main_all_n", rhs, True, "",
-                       {"zeta1": prof.zeta1, "zeta3": prof.zeta3,
-                        "exponent": expo})
+    return _report("be_main_all_n", rhs, n,
+                   {"zeta1": prof.zeta1, "zeta3": prof.zeta3, "exponent": expo})
 
 
 def be_kappa(P, n: int) -> BoundReport:
     """max(9 kappa_1, 1.5 kappa_3)(P~ - N) / sqrt(n), n >= 2."""
     prof = _profile(P, n)
     rhs = max(9.0 * prof.kappa1, 1.5 * prof.kappa3) / math.sqrt(n)
-    return BoundReport("be_kappa", rhs, n >= 2,
-                       "" if n >= 2 else "needs n >= 2",
-                       {"kappa1": prof.kappa1, "kappa3": prof.kappa3})
+    return _report("be_kappa", rhs, n, {"kappa1": prof.kappa1, "kappa3": prof.kappa3})
 
 
 def be_zeta3_only(P, n: int) -> BoundReport:
     """34 (zeta_3^(1/3) v zeta_3)(P~ - N) / sqrt(n), n >= 2."""
     prof = _profile(P, n)
     rhs = CONSTANTS.c_zeta3 * max(prof.zeta3 ** (1.0 / 3.0), prof.zeta3) / math.sqrt(n)
-    return BoundReport("be_zeta3_only", rhs, n >= 2,
-                       "" if n >= 2 else "needs n >= 2",
-                       {"zeta3": prof.zeta3})
+    return _report("be_zeta3_only", rhs, n, {"zeta3": prof.zeta3})
 
 
 def esseen_asymptotic(P) -> float:
@@ -292,47 +287,40 @@ def shiganov_family(P, n: int, r: int) -> BoundReport:
     rhs = _SHIGANOV_C[r] * max(nur ** expo, nu3) / math.sqrt(n)
     return BoundReport(f"shiganov_r{r}", rhs, True, "",
                        {"nu_r": nur, "nu_3": nu3, "exponent": expo,
-                        "c": _SHIGANOV_C[r]})
+                        "c": _SHIGANOV_C[r], "r": r})
 
 
 def shiganov_combined(P, n: int) -> BoundReport:
     """min over r from min(3, n-1) to 3 of the Shiganov family RHS."""
     prof = _profile(P, n)
-    r_lo = min(3, n - 1)
-    reports = [shiganov_family(prof, n, r) for r in range(r_lo, 4)]
+    reports = [shiganov_family(prof, n, r) for r in range(min(3, n - 1), 4)]
     applicable = [rep for rep in reports if rep.applicable]
     if not applicable:
-        return BoundReport("shiganov_combined", math.inf, False,
-                           "no admissible r")
+        return _report("shiganov_combined", math.inf, n, {}, "no admissible r")
     best = min(applicable, key=lambda rep: rep.rhs)
-    return BoundReport("shiganov_combined", best.rhs, True, "",
-                       best.inputs | {"r": int(best.bound_id[-1])})
+    return _report("shiganov_combined", best.rhs, n, best.inputs)
 
 
 def zolotarev_zeta1_bound(P, n: int) -> BoundReport:
     """xi(zeta_1, zeta_3)/sqrt(n), bounding zeta_1(P~^{*n} - N); the
-    coarse 14 (zeta_1 v zeta_3)/sqrt(n) form is reported alongside."""
+    coarse 14 (zeta_1 v zeta_3)/sqrt(n) form is reported alongside, and
+    is the RHS where no eta makes xi feasible."""
     prof = _profile(P, n)
     v = xi(prof.zeta1, prof.zeta3)
     coarse = CONSTANTS.c_zeta1_coarse * prof.zeta13 / math.sqrt(n)
-    if not math.isfinite(v):
-        return BoundReport("zolotarev_zeta1", coarse, True,
-                           "xi infeasible; coarse form only",
-                           {"zeta1": prof.zeta1, "zeta3": prof.zeta3,
-                            "xi": math.inf, "coarse": coarse})
-    rhs = v / math.sqrt(n)
-    return BoundReport("zolotarev_zeta1", rhs, True, "",
-                       {"zeta1": prof.zeta1, "zeta3": prof.zeta3,
-                        "xi": v, "coarse": coarse})
+    feasible = math.isfinite(v)
+    return _report("zolotarev_zeta1", v / math.sqrt(n) if feasible else coarse, n,
+                   {"zeta1": prof.zeta1, "zeta3": prof.zeta3, "xi": v, "coarse": coarse},
+                   "" if feasible else "xi infeasible; coarse form only")
 
 
 def goldstein_tyurin(P, n: int) -> BoundReport:
     """zeta_1(P~^{*n} - N) <= nu_3(P~) / sqrt(n)."""
     prof = _profile(P, n)
     if not math.isfinite(prof.nu3_std):
-        return BoundReport("goldstein_tyurin", math.inf, False, "nu_3 infinite")
-    return BoundReport("goldstein_tyurin", prof.nu3_std / math.sqrt(n),
-                       True, "", {"nu3_std": prof.nu3_std})
+        return _report("goldstein_tyurin", math.inf, n, {}, "nu_3 infinite")
+    return _report("goldstein_tyurin", prof.nu3_std / math.sqrt(n), n,
+                   {"nu3_std": prof.nu3_std})
 
 
 def sampling_bound(population: LawSpec, n: int, N_pop: int,
@@ -352,17 +340,14 @@ def sampling_bound(population: LawSpec, n: int, N_pop: int,
     try:
         prof = _profile(population, n)
     except DegenerateLawError:
-        return {"sampling_main": BoundReport("sampling_main", math.inf, False,
-                                             "degenerate population (sigma = 0)"),
-                "hoeglund": BoundReport("hoeglund", math.inf, False,
-                                        "degenerate population (sigma = 0)")}
+        return {b: BoundReport(b, math.inf, False, "degenerate population (sigma = 0)")
+                for b in ("sampling_main", "hoeglund")}
     main = (CONSTANTS.c_main / math.sqrt(n)) * prof.zeta13 \
         + min((n - 1) / 2.0, float(d)) * n / N_pop
     eff = n * (N_pop - n) / (N_pop - 1.0) if N_pop > 1 else float(n)
     hoeg = CONSTANTS.c_hoeglund * prof.nu3_std / math.sqrt(eff) if eff > 0 else math.inf
     return {
-        "sampling_main": BoundReport("sampling_main", main, n >= 2,
-                                     "" if n >= 2 else "needs n >= 2",
+        "sampling_main": BoundReport("sampling_main", main, n >= 2, _needs(n, 2),
                                      {"zeta1": prof.zeta1, "zeta3": prof.zeta3,
                                       "diversity": d, "N": N_pop}),
         "hoeglund": BoundReport("hoeglund", hoeg, n < N_pop,
@@ -384,22 +369,22 @@ def kolmogorov_normal_pair(sigma: float, tau: float) -> float:
     return float(std_normal_cdf(omega * x) - std_normal_cdf(x))
 
 
-ALL_BOUND_IDS = ("be_main", "be_main_all_n", "be_kappa", "be_zeta3_only",
-                 "be_classical", "shiganov_combined", "zolotarev_zeta1",
-                 "goldstein_tyurin")
+# id: (evaluator, smallest n, the metric its RHS bounds)
+_BOUNDS = {
+    "be_main": (be_main, 2, "K"),
+    "be_main_all_n": (be_main_all_n, 1, "K"),
+    "be_kappa": (be_kappa, 2, "K"),
+    "be_zeta3_only": (be_zeta3_only, 2, "K"),
+    "be_classical": (be_classical, 1, "K"),
+    "shiganov_combined": (shiganov_combined, 1, "K"),
+    "zolotarev_zeta1": (zolotarev_zeta1_bound, 1, "zeta1"),
+    "goldstein_tyurin": (goldstein_tyurin, 1, "zeta1"),
+}
+ALL_BOUND_IDS = tuple(_BOUNDS)
 
 
 def all_bounds(P, n: int) -> Dict[str, BoundReport]:
-    """Every Kolmogorov-LHS bound (and the zeta_1-LHS ones) at once; raises
+    """Every bound of _BOUNDS at n summands, in table order; raises
     ValueError for n < 1."""
     prof = _profile(P, n)
-    return {
-        "be_main": be_main(prof, n),
-        "be_main_all_n": be_main_all_n(prof, n),
-        "be_kappa": be_kappa(prof, n),
-        "be_zeta3_only": be_zeta3_only(prof, n),
-        "be_classical": be_classical(prof, n),
-        "shiganov_combined": shiganov_combined(prof, n),
-        "zolotarev_zeta1": zolotarev_zeta1_bound(prof, n),
-        "goldstein_tyurin": goldstein_tyurin(prof, n),
-    }
+    return {bid: evaluate(prof, n) for bid, (evaluate, _, _) in _BOUNDS.items()}

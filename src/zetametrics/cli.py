@@ -35,6 +35,9 @@ EXIT_REPRODUCTION = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
+# clt_lhs is the Kolmogorov distance: a zeta_1 bound's row leaves it empty
+ZETA1_LHS_REASON = "rhs bounds zeta_1; clt_lhs is the Kolmogorov distance"
+
 
 def resolve_tol(tol: Optional[float]) -> Tolerance:
     """--tol if given, else $ZM_TOL if set, else the default tolerance.
@@ -135,6 +138,10 @@ def cmd_metric(args) -> int:
 def cmd_bounds(args) -> int:
     P = parse_spec(args.spec)
     wanted = args.bounds.split(",") if args.bounds else list(ALL_BOUND_IDS)
+    for bid in wanted:
+        if bid not in ALL_BOUND_IDS:
+            raise SpecParseError(f"unknown bound id {bid!r}; known: "
+                                 + ",".join(ALL_BOUND_IDS))
     reports = all_bounds(distance_profile(P, args.tol), args.n)
     rows = []
     lhs_val: Optional[float] = None
@@ -144,14 +151,12 @@ def cmd_bounds(args) -> int:
     except ConvolveError as exc:
         lhs_reason = str(exc)
     for bid in wanted:
-        if bid not in reports:
-            raise SpecParseError(f"unknown bound id {bid!r}; known: "
-                                 + ",".join(ALL_BOUND_IDS))
         rep = reports[bid]
+        k_row = rep.metric == "K"
         rows.append({"bound": rep.bound_id, "rhs": rep.rhs,
                      "applicable": rep.applicable, "reason": rep.reason,
-                     "clt_lhs": lhs_val if lhs_val is not None else "",
-                     "clt_lhs_reason": lhs_reason})
+                     "clt_lhs": lhs_val if k_row and lhs_val is not None else "",
+                     "clt_lhs_reason": lhs_reason if k_row else ZETA1_LHS_REASON})
     if not any(r["applicable"] for r in rows):
         print("no applicable bound", file=sys.stderr)
         return EXIT_PRECONDITION

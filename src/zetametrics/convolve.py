@@ -23,7 +23,7 @@ import numpy as np
 from .numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
 from .measures import (MAX_LATTICE_ENTRIES, Lattice, LawSpec, Rounded, STANDARD_NORMAL,
                        conv2_law, lattice_span, signed_diff, standardise)
-from .metrics import MetricValue, kappa_r, kolmogorov
+from .metrics import MetricValue, closed_stack_evaluator, kappa_r, kolmogorov
 # powers with at most this many entries are convolved directly; past it,
 # the base is squared directly while it stays within it, then FFT-powered
 _DIRECT_CAP = 4096
@@ -142,11 +142,6 @@ def power_lattice(P: Lattice, n: int) -> Lattice:
     return out
 
 
-def _phi_antideriv(x: np.ndarray) -> np.ndarray:
-    """Antiderivative of Phi: x Phi(x) + phi(x)."""
-    return x * std_normal_cdf(x) + std_normal_pdf(x)
-
-
 def wasserstein_lattice_vs_normal(L: Lattice, mean: float, sd: float) -> float:
     """Exact integral |F_L~(x) - Phi(x)| dx over the standardised lattice.
 
@@ -160,11 +155,11 @@ def wasserstein_lattice_vs_normal(L: Lattice, mean: float, sd: float) -> float:
     a = xs[:-1]
     b = xs[1:]
     c = cum[:-1]
-    A = _phi_antideriv
-    seg = A(b) - A(a)
+    F2 = closed_stack_evaluator(STANDARD_NORMAL, 2)   # -(x Phi(x) + phi(x))
+    seg = F2(a) - F2(b)                            # int_a^b Phi
     Fa = std_normal_cdf(a)
     Fb = std_normal_cdf(b)
-    total = float(A(xs[0]))                        # left tail: int Phi
+    total = float(-F2(xs[0]))                      # left tail: int Phi
     total += float(std_normal_pdf(xs[-1]) - xs[-1] * (1.0 - std_normal_cdf(xs[-1])))
     below = c <= Fa
     above = c >= Fb
@@ -174,8 +169,8 @@ def wasserstein_lattice_vs_normal(L: Lattice, mean: float, sd: float) -> float:
     if np.any(cross):
         qs = np.array([std_normal_quantile(v) for v in c[cross]])
         ac, bc, cc = a[cross], b[cross], c[cross]
-        left = cc * (qs - ac) - (A(qs) - A(ac))
-        right = (A(bc) - A(qs)) - cc * (bc - qs)
+        left = cc * (qs - ac) - (F2(ac) - F2(qs))
+        right = (F2(qs) - F2(bc)) - cc * (bc - qs)
         total += float(np.sum(np.abs(left) + np.abs(right)))
     return total
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import zetametrics as zm
-from zetametrics.bounds import CONSTANTS, g_eta, xi
+from zetametrics.bounds import ALL_BOUND_IDS, CONSTANTS, g_eta, xi
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 RNG = np.random.default_rng(31337)
@@ -125,12 +125,21 @@ class TestXi:
 
 class TestBoundEvaluators:
     def test_classical_bernoulli_n1(self):
-        rep = zm.be_classical(zm.bernoulli(0.5), 1, "c_Sh")
+        rep = zm.be_classical(zm.bernoulli(0.5), 1)
         assert abs(rep.rhs - 0.469) < 1e-12
 
     def test_classical_normal(self):
-        rep = zm.be_classical(zm.normal(), 4, "c_E")
-        assert abs(rep.rhs - CONSTANTS.c_E * 4 / SQRT_2PI / 2.0) < 1e-9
+        rep = zm.be_classical(zm.normal(), 4)
+        assert abs(rep.rhs - CONSTANTS.c_Sh * 4 / SQRT_2PI / 2.0) < 1e-9
+
+    def test_table_ids_metrics_and_smallest_n(self):
+        prof = zm.distance_profile(zm.bernoulli(0.3))
+        reports = zm.all_bounds(prof, 1)
+        assert tuple(reports) == ALL_BOUND_IDS
+        assert {b for b, rep in reports.items() if rep.metric == "zeta1"} \
+            == {"zolotarev_zeta1", "goldstein_tyurin"}
+        assert {b: rep.reason for b, rep in reports.items() if not rep.applicable} \
+            == dict.fromkeys(("be_main", "be_kappa", "be_zeta3_only"), "needs n >= 2")
 
     def test_main_normal_is_zero(self):
         rep = zm.be_main(zm.normal(), 4)

@@ -16,6 +16,7 @@ from zetametrics import cli
 NORMAL = '{"family":"normal"}'
 NORMAL2 = '{"family":"normal","mu":0,"sigma":2}'
 BERN = '{"family":"bernoulli","p":0.5}'
+ZETA1_BOUNDS = ("zolotarev_zeta1", "goldstein_tyurin")
 
 
 # the directory holding the zetametrics package these tests import
@@ -130,12 +131,16 @@ class TestBoundsCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {"bound", "rhs", "applicable", "reason", "clt_lhs", "clt_lhs_reason"} \
             == set(rows[0].keys())
-        lhs = float(rows[0]["clt_lhs"])
-        assert all(row["clt_lhs_reason"] == "" for row in rows)
-        for row in rows:
-            if row["applicable"] == "True" and row["bound"] not in (
-                    "zolotarev_zeta1", "goldstein_tyurin"):
+        k_rows = [row for row in rows if row["bound"] not in ZETA1_BOUNDS]
+        lhs = float(k_rows[0]["clt_lhs"])
+        assert all(row["clt_lhs_reason"] == "" for row in k_rows)
+        for row in k_rows:
+            if row["applicable"] == "True":
                 assert float(row["rhs"]) >= lhs
+        for row in rows:
+            if row["bound"] in ZETA1_BOUNDS:
+                assert row["clt_lhs"] == ""
+                assert row["clt_lhs_reason"] == cli.ZETA1_LHS_REASON
 
     def test_normal_all_zero(self, capsys):
         rc = cli.main(["bounds", "--spec", NORMAL, "--n", "4", "--json"])
@@ -153,7 +158,27 @@ class TestBoundsCommand:
         assert rc == 0
         for row in rows:
             assert row["clt_lhs"] == ""
-            assert row["clt_lhs_reason"] == "lattice_of needs a purely atomic law"
+            assert row["clt_lhs_reason"] == (
+                cli.ZETA1_LHS_REASON if row["bound"] in ZETA1_BOUNDS
+                else "lattice_of needs a purely atomic law")
+
+    def test_zeta1_rows_leave_kolmogorov_lhs_empty(self, capsys):
+        # both bound zeta_1(P~^{*n} - N): the Kolmogorov clt_lhs is no left side
+        rc = cli.main(["bounds", "--spec", '{"family":"bernoulli","p":0.3}', "--n", "16",
+                       "--bounds", ",".join(ZETA1_BOUNDS), "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert [(r["bound"], r["clt_lhs"], r["clt_lhs_reason"]) for r in out] == \
+            [(b, "", cli.ZETA1_LHS_REASON) for b in ZETA1_BOUNDS]
+
+    @pytest.mark.parametrize("spec", ['{"family":"dirac","a":1}', BERN])
+    def test_unknown_bound_id_before_profile(self, capsys, monkeypatch, spec):
+        def no_profile(*args, **kwargs):
+            raise AssertionError("distance_profile called")
+        monkeypatch.setattr(cli, "distance_profile", no_profile)
+        rc = cli.main(["bounds", "--spec", spec, "--n", "4", "--bounds", "be_main,nope"])
+        assert rc == 2
+        assert "unknown bound id 'nope'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_n_below_one_exit_3(self, capsys, n):
