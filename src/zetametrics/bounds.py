@@ -6,13 +6,15 @@ metric inputs consumed and the metric its RHS bounds: "K" for the
 Kolmogorov distance ||P~^{*n} - N||_K, "zeta1" for zeta_1(P~^{*n} - N).
 The table _BOUNDS holds each bound of all_bounds with its smallest n
 and that metric.  The distance inputs are collected once per law in a
-NormalDistanceProfile and shared across the bound family.
+NormalDistanceProfile and shared across the bound family, as is
+Zolotarev's xi(zeta_1, zeta_3), which does not depend on n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional
 
 import numpy as np
@@ -180,6 +182,12 @@ class NormalDistanceProfile:
     def zeta13(self) -> float:
         return max(self.zeta1, self.zeta3)
 
+    @cached_property
+    def xi(self) -> float:
+        """xi(zeta1, zeta3), searched on first use and kept: it does not
+        depend on n."""
+        return xi(self.zeta1, self.zeta3)
+
 
 def distance_profile(P: LawSpec, tol: Tolerance = DEFAULT_TOL) -> NormalDistanceProfile:
     Pt = standardise(P)
@@ -306,7 +314,7 @@ def zolotarev_zeta1_bound(P, n: int) -> BoundReport:
     coarse 14 (zeta_1 v zeta_3)/sqrt(n) form is reported alongside, and
     is the RHS where no eta makes xi feasible."""
     prof = _profile(P, n)
-    v = xi(prof.zeta1, prof.zeta3)
+    v = prof.xi
     coarse = CONSTANTS.c_zeta1_coarse * prof.zeta13 / math.sqrt(n)
     feasible = math.isfinite(v)
     return _report("zolotarev_zeta1", v / math.sqrt(n) if feasible else coarse, n,

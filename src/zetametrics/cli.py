@@ -146,10 +146,11 @@ def cmd_bounds(args) -> int:
     rows = []
     lhs_val: Optional[float] = None
     lhs_reason = ""
-    try:
-        lhs_val = clt_lhs(P, args.n, mode="exact_lattice").value
-    except ConvolveError as exc:
-        lhs_reason = str(exc)
+    if any(reports[bid].metric == "K" for bid in wanted):
+        try:
+            lhs_val = clt_lhs(P, args.n, mode="exact_lattice").value
+        except ConvolveError as exc:
+            lhs_reason = str(exc)
     for bid in wanted:
         rep = reports[bid]
         k_row = rep.metric == "K"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import zetametrics as zm
+from zetametrics import bounds
 from zetametrics.bounds import ALL_BOUND_IDS, CONSTANTS, g_eta, xi
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -121,6 +122,21 @@ class TestXi:
         vals = np.array([[xi(float(k), float(z)) for z in zs] for k in ks])
         assert np.all(np.diff(vals, axis=0) >= -1e-8)
         assert np.all(np.diff(vals, axis=1) >= -1e-8)
+
+
+    def test_searched_once_per_profile(self, monkeypatch):
+        # xi does not depend on n: all_bounds at six n reads one search
+        prof = zm.distance_profile(zm.bernoulli(0.3))
+        calls = []
+
+        def counted(kappa, zeta):
+            calls.append((kappa, zeta))
+            return xi(kappa, zeta)
+        monkeypatch.setattr(bounds, "xi", counted)
+        reports = [zm.all_bounds(prof, n) for n in (2, 3, 4, 8, 16, 64)]
+        assert calls == [(prof.zeta1, prof.zeta3)]
+        for rep in reports:
+            assert rep["zolotarev_zeta1"].inputs["xi"] == xi(prof.zeta1, prof.zeta3)
 
 
 class TestBoundEvaluators:

@@ -171,6 +171,21 @@ class TestBoundsCommand:
         assert [(r["bound"], r["clt_lhs"], r["clt_lhs_reason"]) for r in out] == \
             [(b, "", cli.ZETA1_LHS_REASON) for b in ZETA1_BOUNDS]
 
+    @pytest.mark.parametrize("wanted,calls", [(ZETA1_BOUNDS, 0),
+                                              (("be_main",) + ZETA1_BOUNDS, 1)])
+    def test_kolmogorov_lhs_only_when_printed(self, capsys, monkeypatch, wanted, calls):
+        # the Kolmogorov clt_lhs is computed only when a K row prints it
+        seen, real = [], cli.clt_lhs
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, "clt_lhs", counted)
+        rc = cli.main(["bounds", "--spec", '{"family":"bernoulli","p":0.3}', "--n", "100000",
+                       "--bounds", ",".join(wanted)])
+        assert rc == 0
+        assert len(seen) == calls
+
     @pytest.mark.parametrize("spec", ['{"family":"dirac","a":1}', BERN])
     def test_unknown_bound_id_before_profile(self, capsys, monkeypatch, spec):
         def no_profile(*args, **kwargs):
