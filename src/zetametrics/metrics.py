@@ -177,11 +177,6 @@ def check_vanishing_moments(M: SignedMeasure, upto: int):
 # integrated distribution functions
 # ---------------------------------------------------------------------------
 
-def _check_engine(engine: str):
-    if engine not in ("auto", "quadrature"):
-        raise MetricError(f"engine must be 'auto' or 'quadrature', got {engine!r}")
-
-
 def _integrated_cdfs(M: SignedMeasure, grid: np.ndarray, depth: int, tol: Tolerance,
                      engine: str) -> Tuple[List[Callable], float, str]:
     """(levels, err_est, method): the vectorized F_1 .. F_depth of M.
@@ -195,7 +190,8 @@ def _integrated_cdfs(M: SignedMeasure, grid: np.ndarray, depth: int, tol: Tolera
     on, is allowed for in F_2 as 1e-15 times the grid's width.  Raises
     MetricError for any other engine name.
     """
-    _check_engine(engine)
+    if engine not in ("auto", "quadrature"):
+        raise MetricError(f"engine must be 'auto' or 'quadrature', got {engine!r}")
     closed = [closed_measure_stack(M, k) for k in range(1, depth + 1)] \
         if engine == "auto" else [None]
     if all(c is not None for c in closed):
@@ -405,20 +401,17 @@ def _leaves(M: SignedMeasure, scale: float = 1.0):
             yield scale * c, law
 
 
-def nu_r_signed(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
-                engine: str = "auto") -> MetricValue:
+def nu_r_signed(M: SignedMeasure, r: int,
+                tol: Tolerance = DEFAULT_TOL) -> MetricValue:
     """nu_r of the variation measure |M| (atoms + |summed density|).
 
-    With engine "auto" the value is exact (method "closed_form") when M
-    has no density, or when the laws with a density among M's terms
-    (mixtures expanded) have no atoms and closed stacks and their
-    coefficients share one sign: then M's density has that sign, and
-    nu_r(|M|) is sum |w| |x|^r over M's atoms plus sum |c| nu_r(law) over
-    those terms.  Otherwise, or with engine "quadrature", the density part
-    is the integral of |x|^r |density of M| (method "quadrature").  Raises
-    MetricError for any other engine name.
+    The value is exact (method "closed_form") when M has no density, or
+    when the laws with a density among M's terms (mixtures expanded) have
+    no atoms and closed stacks and their coefficients share one sign: then
+    M's density has that sign, and nu_r(|M|) is sum |w| |x|^r over M's
+    atoms plus sum |c| nu_r(law) over those terms.  Otherwise the density
+    part is the integral of |x|^r |density of M| (method "quadrature").
     """
-    _check_engine(engine)
     try:
         M.nu_upper(r)
     except InfiniteMomentError:
@@ -427,7 +420,7 @@ def nu_r_signed(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
     total = sum(abs(w) * abs(x) ** r for x, w in M.atoms())
     err, method = 0.0, "closed_form"
     dens = [(c, law) for c, law in _leaves(M) if law.has_density and c != 0.0]
-    if (engine == "auto" and len({c > 0 for c, _ in dens}) <= 1
+    if (len({c > 0 for c, _ in dens}) <= 1
             and all(not law.atoms() and closed_stack_evaluator(law, 1) is not None
                     for _, law in dens)):
         total += sum(abs(c) * law.nu(r) for c, law in dens)

@@ -396,27 +396,25 @@ class TestNuSigned:
         v = zm.nu_r_signed(M, 3)
         assert math.isinf(v.value) and v.certificate == {"finite": False}
 
-    @staticmethod
-    def _agree(M, r):
-        auto, quad = zm.nu_r_signed(M, r), zm.nu_r_signed(M, r, engine="quadrature")
-        assert (auto.method, quad.method) == ("closed_form", "quadrature")
-        assert abs(auto.value - quad.value) <= auto.err_est + quad.err_est
-
-    def test_closed_form_agrees_with_quadrature(self, corpus):
-        # a one-signed density part: |M| = |atoms| + sum |c| law, no integral
+    def test_closed_form_agrees_with_quadrature(self, corpus, monkeypatch):
+        # a one-signed density part: |M| = |atoms| + sum |c| law, no integral;
+        # with no closed stack for any law the same M is integrated instead
+        from zetametrics import metrics
         mixture = zm.mixture([(0.5, zm.normal(0.5, 2.0)), (0.5, zm.uniform(-1.0, 3.0))])
         measures = [zm.signed_diff(zm.standardise(P), zm.STANDARD_NORMAL) for _, P in corpus]
         measures += [zolotarev_M(), zm.signed_diff(zm.bernoulli(0.3), mixture)]
-        for M in measures:
-            for r in range(4):
-                self._agree(M, r)
+        cases = [(M, r) for M in measures for r in range(4)]
+        auto = [zm.nu_r_signed(M, r) for M, r in cases]
+        monkeypatch.setattr(metrics, "closed_stack_evaluator", lambda law, k: None)
+        quad = [zm.nu_r_signed(M, r) for M, r in cases]
+        for a, q in zip(auto, quad):
+            assert (a.method, q.method) == ("closed_form", "quadrature")
+            assert abs(a.value - q.value) <= a.err_est + q.err_est
 
     def test_atomic_measure_is_closed_form(self):
-        M = zm.signed_diff(zm.bernoulli(0.3), zm.dirac(0.3))
-        for engine in ("auto", "quadrature"):
-            v = zm.nu_r_signed(M, 2, engine=engine)
-            assert v.method == "closed_form"
-            assert abs(v.value - (0.3 ** 2 + 0.3)) < 1e-15
+        v = zm.nu_r_signed(zm.signed_diff(zm.bernoulli(0.3), zm.dirac(0.3)), 2)
+        assert v.method == "closed_form"
+        assert abs(v.value - (0.3 ** 2 + 0.3)) < 1e-15
 
     @pytest.mark.parametrize("M", [
         zm.signed_diff(zm.standardise(zm.gamma_power(2.0)), zm.STANDARD_NORMAL),
@@ -430,10 +428,6 @@ class TestNuSigned:
     ], ids=["gamma", "winsorised", "mixed_signs", "conv2"])
     def test_stays_on_quadrature(self, M):
         assert zm.nu_r_signed(M, 1).method == "quadrature"
-
-    def test_unknown_engine(self):
-        with pytest.raises(MetricError):
-            zm.nu_r_signed(zolotarev_M(), 1, engine="closed")
 
 
 MEASURE_BANK = [
