@@ -19,15 +19,14 @@ from .measures import (LawSpec, SignedMeasure, Atoms, Bernoulli,
                        mixture, normal, reflect, rounded, signed_diff,
                        standardise, subbotin, truncate, Truncated, uniform,
                        STANDARD_NORMAL)
-from .metrics import (MetricValue, kappa_r, kolmogorov, lambda_1, nu_r_signed, zeta3_cut_criterion,
+from .metrics import (MetricValue, kappa_r, kolmogorov, nu_r_signed, zeta3_cut_criterion,
                       zeta_r)
 from .convolve import (clt_lhs, convolution_inequality_check, convolve_atomic, lattice_of,
                        power_lattice, wasserstein_lattice_vs_normal)
-from .discretise import RoundingGapReport, rounding_gaps
 from .bounds import (CONSTANTS, BoundReport, NormalDistanceProfile, all_bounds,
                      be_classical, be_kappa, be_main, be_main_all_n,
                      be_zeta3_only, distance_profile, esseen_asymptotic, g_eta,
-                     goldstein_tyurin, kolmogorov_normal_pair, sampling_bound,
+                     goldstein_tyurin, sampling_bound,
                      shiganov_combined, shiganov_family, xi,
                      zolotarev_zeta1_bound)
 

@@ -19,7 +19,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, Tolerance, golden_section, std_normal_cdf
+from .numerics import DEFAULT_TOL, Tolerance, golden_section
 from .measures import (DegenerateLawError, LawSpec, STANDARD_NORMAL, lattice_span,
                        signed_diff, standardise)
 from .metrics import kappa_r, nu_r_signed, zeta3_to_normal
@@ -363,18 +363,6 @@ def sampling_bound(population: LawSpec, n: int, N_pop: int,
                                 {"nu3_std": prof.nu3_std,
                                  "effective_n": eff}),
     }
-
-
-def kolmogorov_normal_pair(sigma: float, tau: float) -> float:
-    """|| N_sigma - N_tau ||_K = Phi(omega x) - Phi(x) in closed form."""
-    if sigma <= 0 or tau <= 0:
-        raise ValueError("normal pair needs sigma, tau > 0")
-    lo, hi = min(sigma, tau), max(sigma, tau)
-    omega = hi / lo
-    if omega == 1.0:
-        return 0.0
-    x = math.sqrt(2.0 * math.log(omega) / (omega * omega - 1.0))
-    return float(std_normal_cdf(omega * x) - std_normal_cdf(x))
 
 
 # id: (evaluator, smallest n, the metric its RHS bounds)

@@ -231,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("paper-tables", help="recompute published values "
                                              "(the reproduction gate)")
-    sp.add_argument("table", choices=["example_1_4", "zolotarev_M",
-                                      "subbotin", "constants"])
+    sp.add_argument("table", choices=list(paper_tables.TABLES))
     common(sp)
     sp.set_defaults(func=cmd_paper_tables)
     return p

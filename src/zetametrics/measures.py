@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .numerics import (DomainError, Tolerance, find_root,
-                       gamma_ratio, integrate, on_array, reg_incomplete_gamma,
+                       integrate, on_array, reg_incomplete_gamma,
                        std_normal_cdf, std_normal_partial_moments, std_normal_pdf,
                        std_normal_quantile)
 
@@ -471,7 +471,9 @@ class GammaPower(LawSpec):
             raise InfiniteMomentError(
                 f"nu_{r} of gamma_power(alpha={self.alpha}, beta={self.beta}) "
                 f"is infinite (needs alpha + r/beta > 0)")
-        return self.lam ** (-r / self.beta) * gamma_ratio(r / self.beta, self.alpha)
+        # Gamma(alpha + r/beta) / Gamma(alpha); both arguments are > 0 here
+        return self.lam ** (-r / self.beta) * math.exp(
+            math.lgamma(self.alpha + r / self.beta) - math.lgamma(self.alpha))
 
     def to_dict(self):
         return {"family": "gamma_power", "alpha": self.alpha,

@@ -1,8 +1,8 @@
 """Probability metrics of mass-zero signed measures.
 
-Kolmogorov sup norm, the Wasserstein-type integral norms kappa_r, the
-generalized signed moment lambda_1, and the Zolotarev norms zeta_r for
-r = 1..4 via iterated integrated distribution functions
+Kolmogorov sup norm, the Wasserstein-type integral norms kappa_r, and
+the Zolotarev norms zeta_r for r = 1..4 via iterated integrated
+distribution functions
 
     F_1 = F_M,    F_{k+1}(x) = - integral of F_k over (-inf, x].
 
@@ -264,7 +264,7 @@ def zeta_r(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
 
 
 # ---------------------------------------------------------------------------
-# kappa_r, lambda_1, kolmogorov, nu_r
+# kappa_r, kolmogorov, nu_r
 # ---------------------------------------------------------------------------
 
 def kappa_r(M: SignedMeasure, r: Union[float, Sequence[float]],
@@ -328,20 +328,6 @@ def kappa_r(M: SignedMeasure, r: Union[float, Sequence[float]],
             values[i] = total, err + 1e-12 * max(1.0, total)
     out = [MetricValue(v, e, method, certificate={"segments": len(seg)}) for v, e in values]
     return out if np.ndim(r) else out[0]
-
-
-def lambda_1(M: SignedMeasure) -> float:
-    """lambda_1(M) = integral of h_M; equals mu_1(M) when nu_1 < infinity."""
-    try:
-        return M.mu(1)
-    except InfiniteMomentError:
-        pass
-    if abs(M.mass()) > 1e-10:
-        raise MassNotZeroError("lambda_1 fallback needs M(R) = 0")
-    grid = metric_grid(M)
-    v, _ = integrate(M.cdf, grid[0], grid[-1], DEFAULT_TOL,
-                     breakpoints=_panel_points(M, grid, [x for x, _ in M.atoms()]))
-    return -v
 
 
 def kolmogorov(M: SignedMeasure) -> MetricValue:

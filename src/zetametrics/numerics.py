@@ -306,13 +306,6 @@ def _reg_incomplete_gamma_lockstep(a: float, xs: np.ndarray) -> np.ndarray:
     return out.reshape(xs.shape)
 
 
-def gamma_ratio(a: float, x: float) -> float:
-    """G(a, x) = Gamma(x + a) / Gamma(x) for x > 0, x + a > 0."""
-    if x <= 0 or x + a <= 0:
-        raise DomainError(f"gamma_ratio needs x>0 and x+a>0, got a={a}, x={x}")
-    return math.exp(math.lgamma(x + a) - math.lgamma(x))
-
-
 # ---------------------------------------------------------------------------
 # adaptive quadrature
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Each table compares freshly computed quantities against their quoted
 digits.  Quotes are strings so the comparison tolerance can be derived
 from the quoted precision: 1.5 units in the last quoted digit, which
 absorbs both truncation and rounding in the source.  Entries quoted
-only as a bound (e.g. "<1e-5") are checked as bounds.
+only as a bound (e.g. "<1e-5") are checked as bounds, and entries with
+an exact value (zolotarev_M, rounding) within 1e-7 of it.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
-from .measures import (SignedMeasure, STANDARD_NORMAL, atoms_law, normal,
-                       rounded, signed_diff, standardise, subbotin, uniform,
-                       lattice_span, convolve_signed)
+from .measures import (SignedMeasure, STANDARD_NORMAL, atoms_law, gamma_power,
+                       histogram, normal, rounded, signed_diff, standardise,
+                       subbotin, uniform, lattice_span, convolve_signed)
 from .metrics import kappa_r, kolmogorov, nu_r_signed, zeta_r, zeta3_to_normal
 from .bounds import CONSTANTS
 
@@ -43,6 +44,12 @@ def _row(name: str, computed: float, quote: str) -> Dict:
     diff = abs(computed - target)
     return {"quantity": name, "computed": computed, "quoted": quote,
             "abs_diff": diff, "ok": bool(diff <= tol)}
+
+
+def _exact_row(name: str, computed: float, exact: float) -> Dict:
+    diff = abs(computed - exact)
+    return {"quantity": name, "computed": computed, "quoted": repr(exact),
+            "abs_diff": diff, "ok": bool(diff <= 1e-7)}
 
 
 # ---------------------------------------------------------------------------
@@ -90,29 +97,42 @@ def zolotarev_measure() -> SignedMeasure:
 
 def zolotarev_M() -> Tuple[List[Dict], bool]:
     M = zolotarev_measure()
-    rows: List[Dict] = []
-    ok = True
-
-    def add(name, computed, exact):
-        r = _row(name, computed, repr(exact))
-        r["abs_diff"] = abs(computed - exact)
-        r["ok"] = bool(abs(computed - exact) <= 1e-7)
-        rows.append(r)
-        return r["ok"]
-
-    ok &= add("K(M)", kolmogorov(M).value, 1.0 / (2.0 * SQRT3))
-    M2 = convolve_signed(M, M)
-    ok &= add("K(M*M)", kolmogorov(M2).value, 0.25)
+    rows = [_exact_row("K(M)", kolmogorov(M).value, 1.0 / (2.0 * SQRT3)),
+            _exact_row("K(M*M)", kolmogorov(convolve_signed(M, M)).value, 0.25)]
     for r_ in range(4):
-        ok &= add(f"nu_{r_}(M)", nu_r_signed(M, r_).value,
-                  3.0 ** (r_ / 2.0) / (r_ + 1.0) + 1.0)
+        rows.append(_exact_row(f"nu_{r_}(M)", nu_r_signed(M, r_).value,
+                               3.0 ** (r_ / 2.0) / (r_ + 1.0) + 1.0))
     for r_, kappa in zip((1, 2, 3), kappa_r(M, (1.0, 2.0, 3.0))):
         exact = (3.0 ** (r_ / 2.0) + (2.0 * SQRT3 - 3.0) * r_ / 3.0 - 1.0) / (r_ + 1.0)
-        ok &= add(f"kappa_{r_}(M)", kappa.value, exact)
-    ok &= add("zeta_1(M)", zeta_r(M, 1).value, (5.0 * SQRT3 - 6.0) / 6.0)
-    ok &= add("zeta_3(M)", zeta_r(M, 3).value, (3.0 * SQRT3 - 4.0) / 24.0)
-    ok &= add("zeta_4(M)", zeta_r(M, 4).value, 1.0 / 30.0)
-    return rows, ok
+        rows.append(_exact_row(f"kappa_{r_}(M)", kappa.value, exact))
+    rows += [_exact_row("zeta_1(M)", zeta_r(M, 1).value, (5.0 * SQRT3 - 6.0) / 6.0),
+             _exact_row("zeta_3(M)", zeta_r(M, 3).value, (3.0 * SQRT3 - 4.0) / 24.0),
+             _exact_row("zeta_4(M)", zeta_r(M, 4).value, 1.0 / 30.0)]
+    return rows, all(r["ok"] for r in rows)
+
+
+def rounding_table() -> Tuple[List[Dict], bool]:
+    """The rounding P_rd of a law and its histogram P_hist at width eta.
+
+    The rounding puts each lattice cell's mass at the cell's center and
+    the histogram spreads it uniformly over the cell.  They have the same
+    mass and mean, and differ exactly by -eta^2/12 in mu_2 and by
+    -(eta^2/4) mu_1 in mu_3, and zeta_1(P_rd - P_hist) = eta / 4 for any
+    base law.
+    """
+    rows: List[Dict] = []
+    for name, P in (("normal", normal()), ("gamma(3)", gamma_power(3.0)),
+                    ("subbotin(1.5)", subbotin(1.5))):
+        for eta in (1.0, 0.1, 0.01):
+            Prd, Phist = rounded(eta, 0.0, P), histogram(eta, 0.0, P)
+            tag = f"[{name}, eta={eta}]"
+            rows += [
+                _exact_row("mu2_gap" + tag, Prd.mu(2) - Phist.mu(2), -eta * eta / 12.0),
+                _exact_row("mu3_gap" + tag, Prd.mu(3) - Phist.mu(3),
+                           -(eta * eta / 4.0) * Prd.mu(1)),
+                _exact_row("zeta1_gap" + tag,
+                           kappa_r(signed_diff(Prd, Phist), 1.0).value, eta / 4.0)]
+    return rows, all(r["ok"] for r in rows)
 
 
 def subbotin_table() -> Tuple[List[Dict], bool]:
@@ -156,15 +176,16 @@ def constants_table() -> Tuple[List[Dict], bool]:
     return rows, ok
 
 
-_TABLES = {
+TABLES = {
     "example_1_4": example_1_4,
     "zolotarev_M": zolotarev_M,
     "subbotin": subbotin_table,
     "constants": constants_table,
+    "rounding": rounding_table,
 }
 
 
 def compute(which: str) -> Tuple[List[Dict], bool]:
-    if which not in _TABLES:
-        raise ValueError(f"unknown table {which!r}; known: {sorted(_TABLES)}")
-    return _TABLES[which]()
+    if which not in TABLES:
+        raise ValueError(f"unknown table {which!r}; known: {sorted(TABLES)}")
+    return TABLES[which]()

@@ -1,4 +1,5 @@
-"""Shared fixtures: the lattice test corpus and cached distance profiles."""
+"""Shared fixtures: the lattice test corpus, cached distance profiles and
+the closed Kolmogorov distance of two centred normals."""
 
 import math
 
@@ -45,3 +46,18 @@ def corpus():
 def corpus_profiles(corpus):
     """NormalDistanceProfile per corpus law, computed once per session."""
     return {name: zm.distance_profile(law) for name, law in corpus}
+
+
+@pytest.fixture(scope="session")
+def kolmogorov_normal_pair():
+    """||N(0, sigma^2) - N(0, tau^2)||_K = Phi(omega x) - Phi(x) in closed
+    form, omega = max/min of the scales, x where the two densities cross:
+    an oracle for zm.kolmogorov on normal pairs."""
+    def closed_form(sigma, tau):
+        omega = max(sigma, tau) / min(sigma, tau)
+        if omega == 1.0:
+            return 0.0
+        x = math.sqrt(2.0 * math.log(omega) / (omega * omega - 1.0))
+        Phi = lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0))
+        return Phi(omega * x) - Phi(x)
+    return closed_form

@@ -172,15 +172,14 @@ def test_criterion_8_desk_asymptotics():
     v = zm.clt_lhs(zm.bernoulli(0.5), 400).value
     if abs(20.0 * v - 1 / SQRT_2PI) > 0.05 / SQRT_2PI:
         fails.append(f"sqrt(400) clt = {20 * v:.5f}")
-    rep = zm.rounding_gaps(zm.normal(), 0.01)
-    ratio = rep.zeta1_rd_base / (0.01 / 4.0)
+    N, eta = zm.normal(), 0.01
+    Nrd = zm.rounded(eta, 0.0, N)
+    ratio = zm.kappa_r(zm.signed_diff(Nrd, N), 1.0).value / (eta / 4.0)
     if not 0.99 <= ratio <= 1.01:
         fails.append(f"zeta1(N_rd - N)/(eta/4) = {ratio:.4f}")
-    if rep.zeta1_rd_hist_exact != 0.01 / 4.0:
-        fails.append("exact formula eta/4")
-    if abs(rep.zeta1_rd_hist_quad - 0.01 / 4.0) > 1e-8:
-        fails.append(f"quadrature gap diff = "
-                     f"{abs(rep.zeta1_rd_hist_quad - 0.0025):.2e}")
+    gap = zm.kappa_r(zm.signed_diff(Nrd, zm.histogram(eta, 0.0, N)), 1.0).value
+    if abs(gap - eta / 4.0) > 1e-8:
+        fails.append(f"quadrature gap diff = {abs(gap - eta / 4.0):.2e}")
     report(8, not fails, f"desk-scale asymptotics; failures={fails or 'none'}")
 
 

@@ -344,18 +344,26 @@ class TestCrossBoundInequalities:
 
 
 class TestKolmogorovNormalPair:
-    def test_equal_scales(self):
-        assert zm.kolmogorov_normal_pair(1.3, 1.3) == 0.0
+    @staticmethod
+    def k(sigma, tau):
+        return zm.kolmogorov(zm.signed_diff(zm.normal(0, sigma), zm.normal(0, tau))).value
 
-    def test_one_two(self):
-        assert abs(zm.kolmogorov_normal_pair(1.0, 2.0) - 0.161337284417384) < 1e-12
+    def test_equal_scales(self, kolmogorov_normal_pair):
+        assert kolmogorov_normal_pair(1.3, 1.3) == 0.0
+        assert self.k(1.3, 1.3) == 0.0
 
-    def test_lipschitz_style_bound(self):
-        v = zm.kolmogorov_normal_pair(1.0, 1.01)
+    def test_one_two(self, kolmogorov_normal_pair):
+        assert abs(kolmogorov_normal_pair(1.0, 2.0) - 0.161337284417384) < 1e-12
+        assert abs(self.k(1.0, 2.0) - kolmogorov_normal_pair(1.0, 2.0)) < 1e-14
+
+    def test_lipschitz_style_bound(self, kolmogorov_normal_pair):
+        v = self.k(1.0, 1.01)
+        assert abs(v - kolmogorov_normal_pair(1.0, 1.01)) < 1e-14
         assert v <= 0.01 / math.sqrt(2 * math.pi * math.e) + 1e-12
 
-    def test_symmetry(self):
-        assert zm.kolmogorov_normal_pair(0.5, 2.0) == zm.kolmogorov_normal_pair(2.0, 0.5)
+    def test_symmetry(self, kolmogorov_normal_pair):
+        assert self.k(0.5, 2.0) == self.k(2.0, 0.5)
+        assert abs(self.k(0.5, 2.0) - kolmogorov_normal_pair(0.5, 2.0)) < 1e-14
 
 
 class TestToleranceSurface:
@@ -364,8 +372,7 @@ class TestToleranceSurface:
     NO_TOL = ("be_classical", "be_main", "be_main_all_n", "be_kappa",
               "be_zeta3_only", "esseen_asymptotic", "shiganov_family",
               "shiganov_combined", "zolotarev_zeta1_bound", "goldstein_tyurin",
-              "sampling_bound", "all_bounds", "convolution_inequality_check",
-              "rounding_gaps")
+              "sampling_bound", "all_bounds", "convolution_inequality_check")
 
     @pytest.mark.parametrize("name", NO_TOL)
     def test_no_tol_parameter(self, name):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from zetametrics import cli
+from zetametrics import cli, paper_tables
 
 NORMAL = '{"family":"normal"}'
 NORMAL2 = '{"family":"normal","mu":0,"sigma":2}'
@@ -273,9 +273,23 @@ class TestCltCommand:
 
 
 class TestPaperTables:
-    @pytest.mark.parametrize("table", ["constants", "subbotin"])
+    @pytest.mark.parametrize("table", ["constants", "subbotin", "rounding"])
     def test_fast_tables_pass(self, capsys, table):
         assert cli.main(["paper-tables", table]) == 0
+
+    def test_rounding_rows_exact(self, capsys):
+        # three laws at three widths, a mu_2, mu_3 and zeta_1 gap each
+        rc = cli.main(["paper-tables", "rounding", "--json"])
+        rows = json.loads(capsys.readouterr().out)
+        assert rc == 0 and len(rows) == 27
+        assert all(float(r["abs_diff"]) <= 1e-7 for r in rows)
+
+    def test_unknown_table_lists_the_registry(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["paper-tables", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(repr(t) in err for t in paper_tables.TABLES)
 
     def test_csv_column_count_stable(self, capsys):
         rc = cli.main(["paper-tables", "constants", "--csv"])

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import zetametrics as zm
-from zetametrics.discretise import rounding_gaps
+
+
+def zeta1(A, B):
+    return zm.kappa_r(zm.signed_diff(A, B), 1.0).value
 
 
 class TestMomentDeltas:
@@ -39,36 +42,28 @@ class TestMomentDeltas:
 
 class TestRoundingGaps:
     def test_quarter_eta_exact_and_quadrature(self):
-        rep = rounding_gaps(zm.normal(), 0.3)
-        assert rep.zeta1_rd_hist_exact == 0.3 / 4.0
-        assert abs(rep.zeta1_rd_hist_quad - 0.3 / 4.0) < 1e-8
+        P = zm.normal()
+        gap = zeta1(zm.rounded(0.3, 0.0, P), zm.histogram(0.3, 0.0, P))
+        assert abs(gap - 0.3 / 4.0) < 1e-8
 
     def test_gap_formula_independent_of_base(self):
         for base, eta in ((zm.normal(), 0.3), (zm.normal(), 0.1), (zm.gamma_power(2.0), 0.5),
                           (zm.uniform(-1, 2), 0.5), (zm.gamma_power(4.0), 0.25)):
-            rep = rounding_gaps(base, eta)
-            assert abs(rep.zeta1_rd_hist_quad - eta / 4.0) <= 1e-12, (base, eta)
+            gap = zeta1(zm.rounded(eta, 0.0, base), zm.histogram(eta, 0.0, base))
+            assert abs(gap - eta / 4.0) <= 1e-12, (base, eta)
 
     def test_rounding_gap_first_order(self):
-        rep = rounding_gaps(zm.normal(), 0.01)
-        ratio = rep.zeta1_rd_base / (0.01 / 4.0)
+        P = zm.normal()
+        ratio = zeta1(zm.rounded(0.01, 0.0, P), P) / (0.01 / 4.0)
         assert 0.99 <= ratio <= 1.01
 
     def test_standardised_gap_reference(self):
-        rep = rounding_gaps(zm.normal(), 0.1)
-        ratio = rep.zeta1_std_gap * 4.0 * rep.sigma_rounded / 0.1
+        P = zm.normal()
+        Prd = zm.rounded(0.1, 0.0, P)
+        ratio = zeta1(zm.standardise(Prd), zm.standardise(P)) * 4.0 * Prd.std / 0.1
         assert 0.99 <= ratio <= 1.01
         # Sheppard: sigma^2(P_rd) ~ 1 + eta^2/12
-        assert abs(rep.sigma_rounded ** 2 - (1 + 0.01 / 12.0)) < 1e-5
-
-    def test_zeta3_bound_reported(self):
-        rep = rounding_gaps(zm.normal(), 0.5)
-        expect = (0.25 / 8.0) * (zm.normal().nu(1) + 0.5)
-        assert abs(rep.zeta3_rd_hist_bound - expect) < 1e-12
-
-    def test_degenerate_base_rejected(self):
-        with pytest.raises(Exception):
-            rounding_gaps(zm.dirac(0.0), 0.5)
+        assert abs(Prd.std ** 2 - (1 + 0.01 / 12.0)) < 1e-5
 
 
 class TestTailDiscretised:

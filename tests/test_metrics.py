@@ -38,11 +38,11 @@ class TestKolmogorov:
         M = zm.signed_diff(zm.gamma_power(2.0), zm.gamma_power(2.0))
         assert zm.kolmogorov(M).value < 1e-14
 
-    def test_normal_pair_closed_form(self):
+    def test_normal_pair_closed_form(self, kolmogorov_normal_pair):
         M = zm.signed_diff(zm.normal(0, 1), zm.normal(0, 2))
         v = zm.kolmogorov(M)
         assert abs(v.value - K_N1_N2) < 1e-8
-        assert abs(v.value - zm.kolmogorov_normal_pair(1.0, 2.0)) < 1e-10
+        assert abs(v.value - kolmogorov_normal_pair(1.0, 2.0)) < 1e-10
 
     def test_bernoulli_atom_candidates(self):
         v = zm.kolmogorov(btilde_minus_N())
@@ -195,7 +195,7 @@ class _BrokenMoments(zm.Normal):
 class TestMomentErrors:
     @pytest.mark.parametrize("metric", [
         lambda M: zm.kappa_r(M, 1.0), lambda M: zm.kappa_r(M, 2.5),
-        lambda M: zm.nu_r_signed(M, 1), zm.lambda_1])
+        lambda M: zm.nu_r_signed(M, 1)])
     def test_non_divergence_errors_propagate(self, metric):
         # only InfiniteMomentError means "diverges" / inf / fallback
         M = zm.signed_diff(_BrokenMoments(), zm.STANDARD_NORMAL)
@@ -203,20 +203,17 @@ class TestMomentErrors:
             metric(M)
 
 
-class TestLambda1:
-    def test_zero(self):
-        assert abs(zm.lambda_1(zm.signed_diff(zm.normal(), zm.normal()))) < 1e-15
-
+class TestSignedMean:
     def test_truncated_normal_mean(self):
         t = 2.0
         M = zm.signed_diff(zm.STANDARD_NORMAL, zm.truncated_normal_left(t))
         expect = -zm.std_normal_pdf(t) / (1 - zm.std_normal_cdf(-t))
-        assert abs(zm.lambda_1(M) - expect) < 1e-12
+        assert abs(M.mu(1) - expect) < 1e-12
 
     def test_linearity_for_atoms(self):
         P = zm.atoms_law([(0.0, 0.5), (2.0, 0.5)])
         Q = zm.atoms_law([(-1.0, 0.25), (1.0, 0.75)])
-        assert abs(zm.lambda_1(zm.signed_diff(Q, P)) - (Q.mean - P.mean)) < 1e-14
+        assert abs(zm.signed_diff(Q, P).mu(1) - (Q.mean - P.mean)) < 1e-14
 
 
 class TestZetaStack:
