@@ -10,9 +10,12 @@ Two evaluation engines coexist: a closed-form one for measures whose
 components are atoms, normals, uniforms, histograms, positive affine images
 and mixtures of these (then every F_k is one formula over the truncated
 moments E[X^j; X <= x] of each component), and a
-quadrature one stacking Gauss-Legendre panel antiderivatives
-(numerics.cumulative_integral).  zeta_r integrates |F_r| by locating its
-sign changes and telescoping F_{r+1} across the segments.
+quadrature one: F_2 from one adaptive Gauss-Legendre run over F_M
+(numerics.cumulative_integral), whose panels are Legendre series, and
+F_3, F_4, F_5 as their exact term-by-term antiderivatives
+(numerics.legendre_antiderivative).  Its err_est is F_2's quadrature
+error; the later levels add none.  zeta_r integrates |F_r| by locating
+its sign changes and telescoping F_{r+1} across the segments.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .numerics import (DEFAULT_TOL, Tolerance, cumulative_integral,
-                       golden_section, integrate, on_array, refine_grid,
-                       scan_sign_changes, sign_roots, std_normal_partial_moments,
-                       std_normal_pdf)
+                       golden_section, integrate, legendre_antiderivative, on_array,
+                       refine_grid, scan_sign_changes, sign_roots,
+                       std_normal_partial_moments, std_normal_pdf)
 from .measures import (Affine, Atoms, Conv2, HistogramLaw, InfiniteMomentError,
                        LawSpec, Normal, SignedMeasure, Uniform,
                        STANDARD_NORMAL, signed_diff, standardise)
@@ -164,6 +167,13 @@ def metric_grid(M: SignedMeasure, n_base: int = 2048) -> np.ndarray:
 MOMENT_TOL = 1e-8
 
 
+def _integer_order(r, who: str) -> int:
+    """r as an int, for an integral int or float r; MetricError otherwise."""
+    if not float(r).is_integer():
+        raise MetricError(f"{who} needs an integer order r, got {r!r}")
+    return int(r)
+
+
 def check_vanishing_moments(M: SignedMeasure, upto: int):
     """Raise MomentConditionError unless mu_j(M) ~ 0 for j = 0..upto."""
     for j in range(upto + 1):
@@ -184,11 +194,13 @@ def _integrated_cdfs(M: SignedMeasure, grid: np.ndarray, depth: int, tol: Tolera
     With engine "auto" they are the closed forms when every term of M has
     one (method "closed_form", err_est a rounding allowance of
     1e-14 * max(1, nu_0 of M)); otherwise, or with engine "quadrature",
-    F_1 = M.cdf and each further level is the cumulative_integral of the
-    one before on ``grid`` (method "quadrature", err_est the summed bounds
-    of the levels).  The mass below the grid, at most the 1e-15 it is built
-    on, is allowed for in F_2 as 1e-15 times the grid's width.  Raises
-    MetricError for any other engine name.
+    F_1 = M.cdf, F_2 is its cumulative_integral on ``grid`` (one adaptive
+    run), and F_3 .. F_depth are exact legendre_antiderivatives of F_2's
+    Legendre pieces, with no new values of M (method "quadrature").  err_est
+    sums each level's own quadrature error, so it is F_2's: the
+    antiderivatives add none.  The mass below the grid, at most the 1e-15
+    it is built on, is allowed for in F_2 as 1e-15 times the grid's width.
+    Raises MetricError for any other engine name.
     """
     if engine not in ("auto", "quadrature"):
         raise MetricError(f"engine must be 'auto' or 'quadrature', got {engine!r}")
@@ -196,12 +208,12 @@ def _integrated_cdfs(M: SignedMeasure, grid: np.ndarray, depth: int, tol: Tolera
         if engine == "auto" else [None]
     if all(c is not None for c in closed):
         return closed, 1e-14 * max(1.0, M.nu_upper(0)), "closed_form"
-    levels, err, tail = [M.cdf], 0.0, 1e-15 * (grid[-1] - grid[0])
-    for _ in range(depth - 1):
-        h, h_err = cumulative_integral(levels[-1], grid, tail, sign=-1, tol=tol)
-        levels.append(h)
-        err += h_err
-        tail = 0.0
+    if depth == 1:
+        return [M.cdf], 0.0, "quadrature"
+    f_2, err = cumulative_integral(M.cdf, grid, 1e-15 * (grid[-1] - grid[0]), sign=-1, tol=tol)
+    levels = [M.cdf, f_2]
+    for _ in range(depth - 2):
+        levels.append(legendre_antiderivative(levels[-1], sign=-1))
     return levels, err, "quadrature"
 
 
@@ -244,7 +256,9 @@ def _telescope(f_k1: Callable, grid: np.ndarray, seg: List[float],
 def zeta_r(M: SignedMeasure, r: int, tol: Tolerance = DEFAULT_TOL,
            engine: str = "auto") -> MetricValue:
     """Zolotarev norm zeta_r(M) = integral |F_{M,r}| for M with
-    vanishing moments mu_0 .. mu_{r-1}."""
+    vanishing moments mu_0 .. mu_{r-1}.  An integral float r is taken
+    as its int; any other order raises MetricError."""
+    r = _integer_order(r, "zeta_r")
     if r == 1:
         out = kappa_r(M, 1.0, tol, engine=engine)
         out.certificate = (out.certificate or {}) | {"delegated": "kappa_1"}
@@ -397,7 +411,10 @@ def nu_r_signed(M: SignedMeasure, r: int,
     M's density has that sign, and nu_r(|M|) is sum |w| |x|^r over M's
     atoms plus sum |c| nu_r(law) over those terms.  Otherwise the density
     part is the integral of |x|^r |density of M| (method "quadrature").
+    An integral float r is taken as its int; any other order raises
+    MetricError.
     """
+    r = _integer_order(r, "nu_r_signed")
     try:
         M.nu_upper(r)
     except InfiniteMomentError:

@@ -575,8 +575,44 @@ def find_root(f: Callable, a, b, tol: float = 1e-14, max_iter: int = 200):
 _EVAL_CHUNK = 4096            # points per evaluation step: bounds the working arrays
 
 
+class PiecewiseLegendre:
+    """h(x) on the grid [a, b]: one Legendre series per panel, 0 below the
+    grid and ``final`` above it.
+
+    Panel i starts at ``left[i]`` (sorted) and holds sum_j coef[j, i] P_j(u)
+    with u = (t - mid_t[i]) * scale[i], where t = x, or t = |x - centre[i]|^(1/6)
+    on a panel mapped by x = centre +- t^6; ``half`` is the panel's half
+    width in t.  Evaluated _EVAL_CHUNK points at a time by Clenshaw's
+    recurrence, for any degree; takes scalars and arrays as on_array does.
+    """
+
+    def __init__(self, a, b, final, left, mid_t, scale, half, coef, mapped, centre):
+        self.a, self.b, self.final = a, b, final
+        self.left, self.mid_t, self.scale, self.half = left, mid_t, scale, half
+        self.coef, self.mapped, self.centre = coef, mapped, centre
+
+    def __call__(self, x):
+        return on_array(self._eval, x)
+
+    def _eval(self, x):
+        left, mid_t, scale, coef, mapped = self.left, self.mid_t, self.scale, self.coef, self.mapped
+        out = np.empty(x.size)
+        for i in range(0, x.size, _EVAL_CHUNK):
+            xs = x[i:i + _EVAL_CHUNK]
+            k = np.maximum(np.searchsorted(left, xs, side="right") - 1, 0)
+            t = np.where(mapped[k], np.abs(xs - self.centre[k]) ** (1 / 6), xs) \
+                if mapped.any() else xs
+            u = (t - mid_t[k]) * scale[k]
+            b1 = b2 = 0.0
+            for j in range(len(coef) - 1, 0, -1):   # Clenshaw for sum_j coef_j P_j(u)
+                b1, b2 = coef[j][k] + (2 * j + 1) / (j + 1) * u * b1 - (j + 1) / (j + 2) * b2, b1
+            out[i:i + _EVAL_CHUNK] = np.where(
+                xs <= self.a, 0.0, np.where(xs >= self.b, self.final, coef[0][k] + u * b1 - 0.5 * b2))
+        return out
+
+
 def cumulative_integral(fn: Callable, breakpoints, left_tail: float, sign: int = 1,
-                        tol: Tolerance = DEFAULT_TOL) -> Tuple[Callable, float]:
+                        tol: Tolerance = DEFAULT_TOL) -> Tuple[PiecewiseLegendre, float]:
     """(h, err_est) with h(x) = sign * integral of the vectorized fn over
     (-inf, x].
 
@@ -587,11 +623,11 @@ def cumulative_integral(fn: Callable, breakpoints, left_tail: float, sign: int =
     each accepted half panel h is the running sum of the panel estimates
     to its left end plus the antiderivative of the degree-9 interpolant of
     its 10 node values (by _GL_ANTI), so h agrees with integrate at panel
-    ends; it is 0 below the grid and the total above, evaluated
-    _EVAL_CHUNK points at a time, and takes scalars and arrays as
-    on_array does.  err_est, |left_tail| plus the summed panel
-    disagreements, bounds the error of h at every panel end.  Raises
-    ConvergenceError where integrate does, instead of missing tol.
+    ends; h is a PiecewiseLegendre of degree 10, 0 below the grid and the
+    total above, so legendre_antiderivative integrates it again exactly.
+    err_est, |left_tail| plus the summed panel disagreements, bounds the
+    error of h at every panel end.  Raises ConvergenceError where
+    integrate does, instead of missing tol.
     """
     bp = np.asarray(breakpoints, dtype=float)
     if bp.size < 2 or np.any(np.diff(bp) <= 0):
@@ -611,25 +647,38 @@ def cumulative_integral(fn: Callable, breakpoints, left_tail: float, sign: int =
     coef = (half[:, None] * (vals @ _GL_ANTI))[order]
     starts = np.cumsum((half * (vals @ _GL_W))[order])
     coef[1:, 0] += starts[:-1]
-    coef, final = (sign * coef).T.copy(), sign * float(starts[-1])
-    left, mapped, centre = left[order], (way != 0)[order], centre[order]
-    mid_t, scale = (0.5 * (lo + hi))[order], (np.where(way < 0, -1.0, 1.0) / half)[order]
+    scale = (np.where(way < 0, -1.0, 1.0) / half)[order]
+    h = PiecewiseLegendre(bp[0], bp[-1], sign * float(starts[-1]), left[order],
+                          (0.5 * (lo + hi))[order], scale, half[order], (sign * coef).T.copy(),
+                          (way != 0)[order], centre[order])
+    return h, abs(left_tail) + err
 
-    def h(x):
-        out = np.empty(x.size)
-        for i in range(0, x.size, _EVAL_CHUNK):
-            xs = x[i:i + _EVAL_CHUNK]
-            k = np.maximum(np.searchsorted(left, xs, side="right") - 1, 0)
-            t = np.where(mapped[k], np.abs(xs - centre[k]) ** (1 / 6), xs) if mapped.any() else xs
-            u = (t - mid_t[k]) * scale[k]
-            b1 = b2 = 0.0
-            for j in range(10, 0, -1):          # Clenshaw for sum_j coef_j P_j(u)
-                b1, b2 = coef[j][k] + (2 * j + 1) / (j + 1) * u * b1 - (j + 1) / (j + 2) * b2, b1
-            out[i:i + _EVAL_CHUNK] = np.where(
-                xs <= bp[0], 0.0, np.where(xs >= bp[-1], final, coef[0][k] + u * b1 - 0.5 * b2))
-        return out
 
-    return (lambda x: on_array(h, x)), abs(left_tail) + err
+def legendre_antiderivative(h: PiecewiseLegendre, sign: int = 1) -> PiecewiseLegendre:
+    """H(x) = sign * integral of h over [a, x], exactly, as a
+    PiecewiseLegendre one degree higher on the same panels: 0 below the
+    grid and sign * the integral of h over [a, b] above it, as
+    cumulative_integral's h is.
+
+    Each panel integrates term by term, int_{-1}^u P_j = (P_{j+1} - P_{j-1})
+    / (2j+1) and P_1 + P_0 for j = 0, and running sums of the panel
+    integrals 2 * half * c_0 join the panels.  No new values of anything
+    are taken.  Raises DomainError for h with a panel mapped by
+    x = centre +- t^6, which is no polynomial in x.
+    """
+    if h.mapped.any():
+        raise DomainError("legendre_antiderivative needs panels that are not mapped by t^6")
+    c, half = h.coef, h.half
+    q = c / (2 * np.arange(len(c)) + 1.0)[:, None]
+    d = np.zeros((len(c) + 1, c.shape[1]))
+    d[1:] = q
+    d[:-2] -= q[1:]
+    d[0] += c[0]
+    d *= half
+    starts = np.cumsum(2.0 * half * c[0])
+    d[0, 1:] += starts[:-1]
+    return PiecewiseLegendre(h.a, h.b, sign * float(starts[-1]), h.left, h.mid_t, h.scale,
+                             half, sign * d, h.mapped, h.centre)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import zetametrics as zm
 from zetametrics.metrics import (MassNotZeroError, MetricError, MomentConditionError,
                                  _integrated_cdfs, _segment_points, _telescope,
                                  closed_measure_stack, metric_grid)
+from zetametrics.numerics import refine_grid
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 SQRT3 = math.sqrt(3.0)
@@ -244,6 +245,69 @@ class TestZetaStack:
         with pytest.raises(MomentConditionError) as ei:
             zm.zeta_r(M, 2)
         assert ei.value.j == 0
+
+
+def std_minus_N(P):
+    return zm.signed_diff(zm.standardise(P), zm.STANDARD_NORMAL)
+
+
+# laws whose quadrature stacks are compared level by level
+QUADRATURE_LAWS = {
+    "zolotarev_M": zolotarev_M,
+    "gamma_power(3)": lambda: std_minus_N(zm.gamma_power(3.0)),
+    "subbotin(1.5)": lambda: std_minus_N(zm.subbotin(1.5)),
+    "truncated_normal": lambda: std_minus_N(zm.truncate(zm.normal(1.0, 3.0), 0.0, 5.0)),
+    "rounded_normal": lambda: std_minus_N(zm.rounded(0.1, 0.0, zm.normal())),
+}
+
+
+class TestQuadratureStack:
+    @pytest.mark.parametrize("name", sorted(QUADRATURE_LAWS))
+    def test_antiderivatives_match_per_level_runs(self, name):
+        # the reference stack runs cumulative_integral on every level, not
+        # only on F_M
+        M = QUADRATURE_LAWS[name]()
+        grid = metric_grid(M)
+        levels, err, _ = _integrated_cdfs(M, grid, 5, zm.DEFAULT_TOL, "quadrature")
+        ref, ref_err, tail = [M.cdf], 0.0, 1e-15 * (grid[-1] - grid[0])
+        for _ in range(4):
+            h, h_err = zm.cumulative_integral(ref[-1], grid, tail, sign=-1)
+            ref.append(h)
+            ref_err += h_err
+            tail = 0.0
+        xs = refine_grid(grid, 7)
+        assert np.array_equal(levels[1](xs), ref[1](xs))
+        assert err <= ref_err
+        for k in (2, 3, 4):
+            assert np.max(np.abs(levels[k](xs) - ref[k](xs))) <= ref_err
+
+    def test_one_adaptive_run_per_zeta(self, monkeypatch):
+        from zetametrics import metrics
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return zm.cumulative_integral(*args, **kw)
+
+        monkeypatch.setattr(metrics, "cumulative_integral", counted)
+        v = zm.zeta_r(zolotarev_M(), 4, engine="quadrature")
+        assert len(calls) == 1
+        assert abs(v.value - 1 / 30) < 1e-7
+
+
+class TestIntegerOrders:
+    @pytest.mark.parametrize("r", [2.0, 3.0, 4.0])
+    def test_zeta_takes_integral_float(self, r):
+        M = zolotarev_M()
+        assert zm.zeta_r(M, r).value == zm.zeta_r(M, int(r)).value
+
+    def test_nu_takes_integral_float(self):
+        M = std_minus_N(zm.gamma_power(3.0))
+        assert zm.nu_r_signed(M, 3.0).value == zm.nu_r_signed(M, 3).value
+
+    def test_non_integral_order_raises(self):
+        with pytest.raises(MetricError, match="integer order"):
+            zm.nu_r_signed(zolotarev_M(), 2.5)
 
 
 class TestZetaValues:

@@ -362,6 +362,28 @@ class TestCumulativeIntegral:
         with pytest.raises(nm.DomainError):
             nm.cumulative_integral(lambda x: x, np.array([0.0, 0.0, 1.0]), 0.0)
 
+    def test_antiderivatives_of_Phi(self):
+        # h is Phi on [-10, 10]; its antiderivatives from -10 are x Phi + phi
+        # and ((x^2 + 1) Phi + x phi) / 2, less their values at -10
+        h, _ = nm.cumulative_integral(nm.std_normal_pdf, np.linspace(-10, 10, 201), 0.0)
+        F1 = lambda x: x * nm.std_normal_cdf(x) + nm.std_normal_pdf(x)
+        F2 = lambda x: ((x * x + 1) * nm.std_normal_cdf(x) + x * nm.std_normal_pdf(x)) / 2
+        H1 = nm.legendre_antiderivative(h)
+        H2 = nm.legendre_antiderivative(H1)
+        xs = np.r_[np.linspace(-10, 10, 1001), np.linspace(-9.987, 9.993, 777)]
+        assert np.max(np.abs(H1(xs) - (F1(xs) - F1(-10.0)))) < 1e-13
+        assert np.max(np.abs(H2(xs) - (F2(xs) - F2(-10.0)))) < 1e-13
+        # 0 below the grid, the total above it, and the sign flag
+        assert H2(-11.0) == 0.0 and H2(12.0) == H2(10.0)
+        assert np.array_equal(nm.legendre_antiderivative(H1, sign=-1)(xs), -H2(xs))
+
+    def test_antiderivative_refuses_mapped_panels(self):
+        # the panels next to the pole of |x|^(-1/2) go through x = t^6
+        with np.errstate(divide="ignore"):
+            h, _ = nm.cumulative_integral(lambda x: np.abs(x) ** -0.5, np.linspace(-1, 1, 9), 0.0)
+        with pytest.raises(nm.DomainError):
+            nm.legendre_antiderivative(h)
+
     def test_antiderivative_matrix(self):
         # regenerated from numpy's Legendre tools: node values -> Legendre
         # coefficients of the interpolant -> its integral from -1
