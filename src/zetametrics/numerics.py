@@ -575,6 +575,7 @@ def find_root(f: Callable, a, b, tol: float = 1e-14, max_iter: int = 200):
 _EVAL_CHUNK = 4096            # points per evaluation step: bounds the working arrays
 
 
+@dataclass(frozen=True, eq=False)
 class PiecewiseLegendre:
     """h(x) on the grid [a, b]: one Legendre series per panel, 0 below the
     grid and ``final`` above it.
@@ -586,10 +587,16 @@ class PiecewiseLegendre:
     recurrence, for any degree; takes scalars and arrays as on_array does.
     """
 
-    def __init__(self, a, b, final, left, mid_t, scale, half, coef, mapped, centre):
-        self.a, self.b, self.final = a, b, final
-        self.left, self.mid_t, self.scale, self.half = left, mid_t, scale, half
-        self.coef, self.mapped, self.centre = coef, mapped, centre
+    a: float
+    b: float
+    final: float
+    left: np.ndarray
+    mid_t: np.ndarray
+    scale: np.ndarray
+    half: np.ndarray
+    coef: np.ndarray
+    mapped: np.ndarray
+    centre: np.ndarray
 
     def __call__(self, x):
         return on_array(self._eval, x)
