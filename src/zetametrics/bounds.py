@@ -22,7 +22,7 @@ import numpy as np
 from .numerics import DEFAULT_TOL, Tolerance, golden_section
 from .measures import (DegenerateLawError, LawSpec, STANDARD_NORMAL, lattice_span,
                        signed_diff, standardise)
-from .metrics import kappa_r, nu_r_signed, zeta3_to_normal
+from .metrics import _integer_order, kappa_r, nu_r_signed, zeta3_to_normal
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -284,6 +284,7 @@ _SHIGANOV_C = {0: 1.8, 1: 4.2, 2: 13.5, 3: 35.0}
 
 def shiganov_family(P, n: int, r: int) -> BoundReport:
     """c_r (nu_r^(1 ^ n/(r+1)) v nu_3)(P~ - N) / sqrt(n)."""
+    r = _integer_order(r, "shiganov_family")
     if r not in _SHIGANOV_C:
         raise ValueError("shiganov family needs r in 0..3")
     prof = _profile(P, n)

@@ -568,6 +568,10 @@ class SignedMeasure(LawSpec):
         """Signed atoms; only exactly coinciding locations of different
         terms merge, as in cdf, which sums the terms' own distribution
         functions."""
+        return list(self._merged_atoms)
+
+    @cached_property
+    def _merged_atoms(self):
         return merge_atoms([(x, c * w) for c, law in self.terms
                             for x, w in law.atoms()], rtol=0.0)
 

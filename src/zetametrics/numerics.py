@@ -82,23 +82,32 @@ def std_normal_pdf(x):
     return on_array(lambda t: INV_SQRT_2PI * np.exp(-0.5 * t * t), x)
 
 
-_ERFC_UFUNC = np.frompyfunc(math.erfc, 1, 1)
+_PHI_CHUNK = 65536
 
 
 def std_normal_cdf(x):
-    """Phi(x) to ~1e-16 absolute, saturating for |x| > 40."""
+    """Phi(x) = erfc(-x/sqrt(2))/2, one math.erfc call per point.
+
+    Each point's argument and result are computed by the same float
+    operations at any call size and in the scalar path, so Phi at a point
+    has the same bits whatever array it arrives in (find_root's lockstep
+    brackets rely on that).  math.erfc saturates by itself: Phi is exactly
+    1.0 above x ~ 8.3 and exactly 0.0 below x ~ -38.5, and NaN stays NaN.
+    Points go to Python floats in chunks, so no call holds one boxed float
+    per point at once.
+    """
     xs = np.asarray(x, dtype=float)
     if xs.ndim == 0:
         return _phi_scalar(float(xs))
-    out = 0.5 * _ERFC_UFUNC(-np.clip(xs, -40.0, 40.0) / _SQRT2).astype(float)
-    return np.where(xs > 40.0, 1.0, np.where(xs < -40.0, 0.0, out))
+    t = (-xs / _SQRT2).ravel()
+    out = np.empty(t.size)
+    for i in range(0, t.size, _PHI_CHUNK):
+        out[i:i + _PHI_CHUNK] = np.fromiter(map(math.erfc, t[i:i + _PHI_CHUNK].tolist()), float)
+    out *= 0.5
+    return out.reshape(xs.shape)
 
 
 def _phi_scalar(x: float) -> float:
-    if x > 40.0:
-        return 1.0
-    if x < -40.0:
-        return 0.0
     return 0.5 * math.erfc(-x / _SQRT2)
 
 

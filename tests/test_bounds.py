@@ -10,6 +10,7 @@ import pytest
 import zetametrics as zm
 from zetametrics import bounds
 from zetametrics.bounds import ALL_BOUND_IDS, CONSTANTS, g_eta, xi
+from zetametrics.metrics import MetricError
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 RNG = np.random.default_rng(31337)
@@ -251,6 +252,23 @@ class TestShiganov:
         combined = zm.shiganov_combined(prof, 8)
         singles = [zm.shiganov_family(prof, 8, r).rhs for r in range(3, 4)]
         assert combined.rhs <= min(singles) + 1e-12
+
+    def test_integral_float_order_is_its_int(self):
+        P = zm.bernoulli(0.3)
+        got = zm.shiganov_family(P, 10, 2.0)
+        want = zm.shiganov_family(P, 10, 2)
+        assert got.bound_id == "shiganov_r2"
+        assert got.inputs["r"] == 2 and type(got.inputs["r"]) is int
+        assert got.rhs == want.rhs
+
+    def test_non_integer_order_is_a_metric_error(self):
+        with pytest.raises(MetricError, match="integer order"):
+            zm.shiganov_family(zm.bernoulli(0.3), 10, 2.5)
+
+    @pytest.mark.parametrize("r", [-1, 4, 5.0])
+    def test_order_outside_0_to_3_rejected(self, r):
+        with pytest.raises(ValueError, match="r in 0..3"):
+            zm.shiganov_family(zm.bernoulli(0.3), 10, r)
 
 
 class TestZolotarevZeta1Bound:

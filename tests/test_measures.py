@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import zetametrics as zm
-from zetametrics.measures import DegenerateLawError, InfiniteMomentError, MeasureError
+from zetametrics import measures
+from zetametrics.measures import (DegenerateLawError, InfiniteMomentError, MeasureError,
+                                  merge_atoms)
 
 RNG = np.random.default_rng(7)
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -511,6 +513,26 @@ class TestSignedMeasures:
         assert zm.nu_r_signed(M, 0).value == 2.0
         assert zm.kolmogorov(M).value == 1.0
         assert zm.signed_diff(zm.dirac(0.5), zm.atoms_law([(0.5, 1.0)])).atoms() == []
+
+    def test_atoms_merged_once_per_measure(self, monkeypatch):
+        M = zm.signed_diff(zm.standardise(zm.bernoulli(0.3)), zm.STANDARD_NORMAL)
+        calls = []
+
+        def counted(pairs, *args, **kwargs):
+            calls.append(len(pairs))
+            return merge_atoms(pairs, *args, **kwargs)
+        monkeypatch.setattr(measures, "merge_atoms", counted)
+        zm.kappa_r(M, (1, 3))
+        zm.zeta_r(M, 3)
+        zm.nu_r_signed(M, 3)
+        assert calls == [2]
+
+    def test_atoms_returns_a_fresh_list(self):
+        M = zm.signed_diff(zm.bernoulli(0.5), zm.normal())
+        got = M.atoms()
+        got.append((7.0, 1.0))
+        got[0] = (0.25, 0.25)
+        assert M.atoms() == [(0.0, 0.5), (1.0, 0.5)]
 
     def test_nu_is_no_absolute_moment(self):
         # the integral of |x|^r against M (0.298 at r = 1 here) is no moment

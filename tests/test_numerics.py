@@ -41,6 +41,42 @@ class TestStdNormalCdf:
         assert nm.std_normal_cdf(41.0) == 1.0
         assert nm.std_normal_cdf(-41.0) == 0.0
 
+    # the edge points first, so that the smallest calls see them too
+    BIT_POINTS = np.r_[np.nan, -np.inf, np.inf, -40.0, 40.0, -38.5, 8.29, 8.3, -0.0,
+                       5e-324, np.linspace(-60.0, 60.0, 1201)]
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 100, 4097, 65537])
+    def test_bits_match_math_erfc_at_every_size(self, size):
+        # 65,537 points cross a conversion-chunk boundary
+        xs = np.resize(self.BIT_POINTS, size)
+        want = [0.5 * math.erfc(-x / math.sqrt(2)) for x in xs.tolist()]
+        assert np.array_equal(self.bits(nm.std_normal_cdf(xs)), self.bits(want))
+
+    def test_scalar_bits_match_math_erfc(self):
+        got = [nm.std_normal_cdf(x) for x in self.BIT_POINTS.tolist()]
+        want = [0.5 * math.erfc(-x / math.sqrt(2)) for x in self.BIT_POINTS.tolist()]
+        assert np.array_equal(self.bits(got), self.bits(want))
+
+    def test_saturates_without_a_clip(self):
+        got = nm.std_normal_cdf(np.array([-np.inf, -1e300, -40.5, -40.0, 8.5, 40.0,
+                                          40.5, 1e300, np.inf]))
+        assert got.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        assert math.isnan(nm.std_normal_cdf(math.nan))
+
+    def test_shapes(self):
+        assert type(nm.std_normal_cdf(np.float64(0.3))) is float
+        assert type(nm.std_normal_cdf(np.array(0.3))) is float
+        grid = self.BIT_POINTS[:600].reshape(20, 30)
+        for xs in (grid, grid.T):
+            got = nm.std_normal_cdf(xs)
+            assert got.shape == xs.shape
+            flat = nm.std_normal_cdf(xs.ravel())
+            assert np.array_equal(self.bits(got.ravel()), self.bits(flat))
+
     def test_quantile_roundtrip(self):
         for p in (1e-12, 1e-6, 0.1, 0.5, 0.9, 1 - 1e-6):
             assert abs(nm.std_normal_cdf(nm.std_normal_quantile(p)) - p) \
