@@ -6,11 +6,14 @@ exponentiation with ``np.convolve``), exact up to summation rounding.  A
 larger power squares the base directly while it stays within the cap,
 then takes one real FFT of that base to the remaining exponent ``q``,
 times the FFT of the directly formed remainder power, and one inverse
-transform.  Entries at or below the noise floor
-``q * log2(fft_size) * eps * max(w)`` are set to zero and the rest are
-renormalised, so the Kolmogorov distance of a standardised lattice power
-to the normal law is off by at most the floor times the entry count.  The
-continuous path evaluates two-fold convolution CDFs by quadrature.
+transform.  The transforms span only the window of indices outside which
+Bernstein's inequality leaves at most 1e-30 of the sum's mass on each
+side, not the whole support; the result is 0 outside the window.  Entries
+at or below the noise floor ``q * log2(fft_size) * eps * max(w)`` are set
+to zero and the rest are renormalised, so the Kolmogorov distance of a
+standardised lattice power to the normal law is off by at most the floor
+times the entry count, plus the two 1e-30 tails.  The continuous path
+evaluates two-fold convolution CDFs by quadrature.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from .metrics import MetricValue, closed_stack_evaluator, kappa_r, kolmogorov
 # powers with at most this many entries are convolved directly; past it,
 # the base is squared directly while it stays within it, then FFT-powered
 _DIRECT_CAP = 4096
+# an FFT power's transform spans the window outside which each side of the
+# sum holds at most this mass (Bernstein's inequality)
+_TAIL_MASS = 1e-30
 
 
 class ConvolveError(Exception):
@@ -108,16 +114,46 @@ def _fft_size(n: int) -> int:
     return best
 
 
+def _mass_window(p: np.ndarray, n: int) -> Tuple[int, int]:
+    """Indices [lo, hi) of the n-fold sum of the index law p outside which
+    each side holds at most ``_TAIL_MASS``, clipped to the sum's support.
+
+    Bernstein's inequality with the index mean mu, variance s2 and the
+    one-sided ranges b = mu (below) and len(p) - 1 - mu (above) bounds the
+    mass past ``n mu -+ t`` by exp(-L), L = ln(1 / _TAIL_MASS), for
+    ``t = b L / 3 + sqrt((b L / 3)^2 + 2 n s2 L)``.
+    """
+    p = p / p.sum()
+    idx = np.arange(p.size)
+    mu = float(p @ idx)
+    s2 = float(p @ (idx - mu) ** 2)
+    L = math.log(1.0 / _TAIL_MASS)
+
+    def side(b):
+        return b * L / 3.0 + math.sqrt((b * L / 3.0) ** 2 + 2.0 * n * s2 * L)
+
+    size = n * (p.size - 1) + 1
+    lo = max(math.floor(n * mu - side(mu)), 0)
+    hi = min(math.ceil(n * mu + side(p.size - 1 - mu)) + 1, size)
+    return lo, hi
+
+
 def power_lattice(P: Lattice, n: int) -> Lattice:
     """n-fold convolution power, direct up to ``_DIRECT_CAP`` entries.
 
     Past the cap, ``P^(2^j)`` is squared directly while its length stays
     within the cap, collecting the low bits of n into a direct remainder
     power ``P^r``; then ``P^n = irfft(rfft(P^(2^j))^q * rfft(P^r))`` with
-    ``q = n >> j``.  The transforms' rounding grows with q, so entries at
-    or below ``q * log2(fft_size) * eps * max(w)`` (negative ones too) are
-    set to zero and the rest renormalised; the result records that floor
-    and the transform length.
+    ``q = n >> j``.  The transforms span only the window ``[lo, hi)``
+    of ``_mass_window``, past each side of which the sum holds at most
+    1e-30: the circular result is read at the window's indices modulo the
+    transform length, so only the mass past the window aliases in, and
+    the power is 0 outside it.  When the window is the whole support, the
+    transform length and weights are those of a full-length transform.
+    The transforms' rounding grows with q, so entries at or below
+    ``q * log2(fft_size) * eps * max(w)`` (negative ones too) are set to
+    zero and the rest renormalised; the result records that floor, the
+    transform length and the window.
     """
     if n < 1:
         raise ConvolveError("power needs n >= 1")
@@ -126,19 +162,23 @@ def power_lattice(P: Lattice, n: int) -> Lattice:
         raise ConvolveError("convolution power exceeds entry budget")
     if n == 1 or size <= _DIRECT_CAP:
         return _power_direct(P, n)
+    lo, hi = _mass_window(P.weights, n)
     base, q, rest = _square_down(P, n, _DIRECT_CAP)
-    fft_size = _fft_size(size)
+    # rfft crops a longer input; the remainder is shorter than the base
+    fft_size = _fft_size(max(hi - lo, base.weights.size))
     W = np.fft.rfft(base.weights, fft_size)
     np.power(W, q, out=W)
     if rest is not None:
         W *= np.fft.rfft(rest.weights, fft_size)
-    w = np.fft.irfft(W, fft_size)[:size]
+    v = np.fft.irfft(W, fft_size)[np.arange(lo, hi) % fft_size]
     del W
-    floor = q * math.log2(fft_size) * np.finfo(float).eps * float(w.max())
-    w[w <= floor] = 0.0
-    w *= 1.0 / w.sum()
+    floor = q * math.log2(fft_size) * np.finfo(float).eps * float(v.max())
+    v[v <= floor] = 0.0
+    v *= 1.0 / v.sum()
+    w = np.zeros(size)
+    w[lo:hi] = v
     out = Lattice(n * P.shift, P.span, w)
-    out.fft_size, out.noise_floor = fft_size, floor
+    out.fft_size, out.noise_floor, out.window = fft_size, floor, [lo, hi]
     return out
 
 
@@ -205,11 +245,15 @@ def clt_lhs(P: LawSpec, n: int, mode: str = "exact_lattice",
             raise ModeError("degenerate law in exact_lattice mode")
         sup, arg = _lattice_vs_normal_sup(Ln, mean, sd)
         err = 1e-13 + Ln.noise_floor * Ln.weights.size
+        if Ln.window is not None:
+            # the mass past each side of the window is left out and aliased in
+            err += 4 * _TAIL_MASS
         return MetricValue(sup, err, "closed_form",
                            certificate={"atoms": int((Ln.weights > 0).sum()),
                                         "argmax": arg,
                                         "engine": "fft" if Ln.fft_size else "direct",
-                                        "fft_size": Ln.fft_size})
+                                        "fft_size": Ln.fft_size,
+                                        "window": Ln.window})
     if mode == "quadrature_n2":
         if n != 2:
             raise ModeError("quadrature_n2 requires n = 2")

@@ -243,13 +243,15 @@ class Lattice(Atoms):
     The atom arrays ``_locs``, ``_wts`` and ``_cum`` cover the nonzero
     weights and are made on first use, so lattice powers that are only
     convolved never build them.  ``fft_size`` is the transform length of
-    an FFT-formed power (0 otherwise) and ``noise_floor`` the level at or
-    below which its entries were set to zero.
+    an FFT-formed power (0 otherwise), ``noise_floor`` the level at or
+    below which its entries were set to zero, and ``window`` the index
+    range ``[lo, hi)`` its transform spanned (None otherwise).
     """
 
     family = "lattice"
     fft_size = 0
     noise_floor = 0.0
+    window = None
 
     def __init__(self, shift: float, span: float, weights: Sequence[float]):
         if not span > 0:
@@ -265,7 +267,7 @@ class Lattice(Atoms):
 
     @cached_property
     def _locs(self):
-        return (self.shift + self.span * np.arange(self.weights.size))[self.weights > 0]
+        return self.shift + self.span * np.flatnonzero(self.weights > 0)
 
     @cached_property
     def _wts(self):

@@ -119,7 +119,11 @@ class TestFftPower:
         fft = zm.power_lattice(L, n)
         direct = _power_direct(L, n)
         N = direct.weights.size
-        assert N > _DIRECT_CAP and fft.fft_size >= N and direct.fft_size == 0
+        lo, hi = fft.window
+        assert N > _DIRECT_CAP and direct.fft_size == 0
+        # the transform holds the window, which is shorter than the support
+        assert hi - lo <= fft.fft_size < N
+        assert not fft.weights[:lo].any() and not fft.weights[hi:].any()
         assert fft.weights.size == N and fft.shift == pytest.approx(direct.shift, abs=1e-9)
         # each entry is off by at most the noise floor plus the share of the
         # renormalisation, which moves the mass by at most N floors
@@ -137,6 +141,49 @@ class TestFftPower:
         assert out.certificate["atoms"] == int((fft.weights > 0).sum())
         assert abs(sup_fft - sup_direct) <= out.err_est
 
+    def test_full_window_is_the_full_length_transform(self):
+        # a far atom spreads the mass over the whole support, so the window
+        # is all of it and the weights are those of a full-length transform
+        L = zm.lattice_of(zm.atoms_law([(0.0, 0.5), (1.0, 0.25), (4000.0, 0.25)]))
+        out = zm.power_lattice(L, 3)
+        size = 3 * (L.weights.size - 1) + 1
+        N = _fft_size(size)
+        assert size > _DIRECT_CAP and out.window == [0, size] and out.fft_size == N
+        w = np.fft.irfft(np.fft.rfft(L.weights, N) ** 3, N)[:size]
+        floor = 3 * math.log2(N) * np.finfo(float).eps * float(w.max())
+        w[w <= floor] = 0.0
+        w *= 1.0 / w.sum()
+        assert out.noise_floor == floor
+        assert out.weights.view(np.uint64).tolist() == w.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+    def test_window_leaves_out_at_most_1e_30_a_side(self, p, n):
+        from scipy.stats import binom
+        out = zm.power_lattice(zm.bernoulli(p), n)
+        lo, hi = out.window
+        assert 0 < lo < hi <= n and out.fft_size < n
+        assert binom.logcdf(lo - 1, n, p) <= math.log(1e-30)
+        assert binom.logsf(hi - 1, n, p) <= math.log(1e-30)
+
+    def test_million_fold_bernoulli_matches_binomial_sup(self):
+        # the reference pmf in log space through math.lgamma, within 40 sd of
+        # the mean and normalised to mass 1, with the left limit at each atom
+        p, n = 0.5, 10**6
+        mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+        ks = np.arange(int(mean - 40 * sd), int(mean + 40 * sd) + 1)
+        lg_n, lp, lq = math.lgamma(n + 1), math.log(p), math.log1p(-p)
+        pmf = np.exp([lg_n - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * lp + (n - k) * lq
+                      for k in ks.tolist()])
+        pmf /= math.fsum(pmf)
+        cum = np.cumsum(pmf)
+        phi = zm.std_normal_cdf((ks - mean) / sd)
+        sup = max(np.abs(cum - phi).max(), np.abs(cum - pmf - phi).max())
+        out = zm.clt_lhs(zm.bernoulli(p), n)
+        assert out.certificate["engine"] == "fft"
+        assert out.certificate["window"] == zm.power_lattice(zm.bernoulli(p), n).window
+        assert abs(out.value - sup) <= out.err_est
+
     def test_fft_size_is_smallest_5_smooth(self):
         def smooth(k):
             for f in (2, 3, 5):
@@ -150,6 +197,7 @@ class TestFftPower:
         out = zm.clt_lhs(zm.bernoulli(0.3), 64)
         assert out.certificate["engine"] == "direct"
         assert out.certificate["fft_size"] == 0 and out.err_est == 1e-13
+        assert out.certificate["window"] is None
 
     def test_entry_budget_checked_before_any_work(self, monkeypatch):
         def no_work(*args):

@@ -576,6 +576,15 @@ class TestLatticeSpan:
         law = zm.atoms_law([(0.0, 0.5), (3.0, 0.25), (5.0, 0.25)])
         assert abs(zm.lattice_span(law) - 1.0) < 1e-12
 
+    def test_lattice_locations_are_shift_plus_span_times_index(self):
+        # the nonzero cells' locations, bit for bit as on the full lattice
+        w = np.zeros(1001)
+        w[[0, 3, 7, 500, 999, 1000]] = [0.1, 0.2, 0.3, 0.1, 0.2, 0.1]
+        L = zm.Lattice(-0.3, 0.1, w)
+        full = L.shift + L.span * np.arange(w.size)
+        assert L._locs.view(np.uint64).tolist() == full[w > 0].view(np.uint64).tolist()
+        assert L.atoms() == [(x, v) for x, v in zip(full[w > 0].tolist(), w[w > 0].tolist())]
+
 
 class TestRoundingOperators:
     def test_dirac_on_lattice_unchanged(self):
