@@ -2,24 +2,28 @@
 
 The discrete path keeps weight arrays on a common lattice.  A power whose
 result has at most ``_DIRECT_CAP`` entries is convolved directly (binary
-exponentiation with ``np.convolve``), exact up to summation rounding.  A
-larger power squares the base directly while it stays within the cap,
-then takes one real FFT of that base to the remaining exponent ``q``,
-times the FFT of the directly formed remainder power, and one inverse
-transform.  The transforms span only the window of indices outside which
-Bernstein's inequality leaves at most 1e-30 of the sum's mass on each
-side, not the whole support; the result is 0 outside the window.  Entries
-at or below the noise floor ``q * log2(fft_size) * eps * max(w)`` are set
-to zero and the rest are renormalised, so the Kolmogorov distance of a
-standardised lattice power to the normal law is off by at most the floor
-times the entry count, plus the two 1e-30 tails.  The continuous path
-evaluates two-fold convolution CDFs by quadrature.
+exponentiation with ``np.convolve``).  A larger power squares the base
+directly while its full support stays within the cap, then takes one
+real FFT of that base to the remaining exponent ``q``, times the FFT of
+the directly formed remainder power, and one inverse transform.  Every
+k-fold factor and the power itself are kept only over their window:
+Bernstein's inequality leaves at most 1e-30 of the exact power's mass
+past each side of it, and the weights span the window, not the whole
+support.  So a direct power is exact up to summation rounding and the
+1e-30 cuts; when the window is the whole support nothing is cut.  The
+transforms span the power's window.  Their entries at or below the noise
+floor ``q * log2(fft_size) * eps * max(w)`` are set to zero and the rest
+are renormalised, so the Kolmogorov distance of a standardised lattice
+power to the normal law is off by at most the floor times the stored
+entry count, plus 2e-30 per cut factor and the two 1e-30 tails of the
+transform, left out and aliased in.  The continuous path evaluates
+two-fold convolution CDFs by quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -28,10 +32,11 @@ from .measures import (MAX_LATTICE_ENTRIES, Lattice, LawSpec, Rounded, STANDARD_
                        conv2_law, lattice_span, signed_diff, standardise)
 from .metrics import MetricValue, closed_stack_evaluator, kappa_r, kolmogorov
 # powers with at most this many entries are convolved directly; past it,
-# the base is squared directly while it stays within it, then FFT-powered
+# the base is squared directly while its full support stays within it,
+# then FFT-powered
 _DIRECT_CAP = 4096
-# an FFT power's transform spans the window outside which each side of the
-# sum holds at most this mass (Bernstein's inequality)
+# a power and its factors are kept over the window outside which each side
+# of the exact sum holds at most this mass (Bernstein's inequality)
 _TAIL_MASS = 1e-30
 
 
@@ -79,27 +84,6 @@ def convolve_atomic(P: Lattice, Q: Lattice) -> Lattice:
     return Lattice(P.shift + Q.shift, P.span, np.convolve(P.weights, Q.weights))
 
 
-def _square_down(P: Lattice, n: int, cap: float):
-    """Write P^n = base^q * rest with base = P^(2^j) by repeated squaring,
-    squaring while q > 1 and the square has at most ``cap`` entries; rest
-    is P^(n mod 2^j), or None when that exponent is 0."""
-    rest: Optional[Lattice] = None
-    base = P
-    q = n
-    while q > 1 and 2 * base.weights.size - 1 <= cap:
-        if q & 1:
-            rest = base if rest is None else convolve_atomic(rest, base)
-        q >>= 1
-        base = convolve_atomic(base, base)
-    return base, q, rest
-
-
-def _power_direct(P: Lattice, n: int) -> Lattice:
-    """n-fold convolution power by repeated squaring."""
-    base, _, rest = _square_down(P, n, math.inf)
-    return base if rest is None else convolve_atomic(rest, base)
-
-
 def _fft_size(n: int) -> int:
     """The smallest 2^a 3^b 5^c >= n."""
     best = 1 << max(n - 1, 0).bit_length()
@@ -114,71 +98,118 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def _mass_window(p: np.ndarray, n: int) -> Tuple[int, int]:
-    """Indices [lo, hi) of the n-fold sum of the index law p outside which
-    each side holds at most ``_TAIL_MASS``, clipped to the sum's support.
+def _mass_window(p: np.ndarray) -> Callable[[int], Tuple[int, int]]:
+    """The mass windows of the sums of the index law p: a function of k
+    giving the indices [lo, hi) of the k-fold sum outside which each side
+    holds at most ``_TAIL_MASS``, clipped to the sum's support.
 
     Bernstein's inequality with the index mean mu, variance s2 and the
     one-sided ranges b = mu (below) and len(p) - 1 - mu (above) bounds the
-    mass past ``n mu -+ t`` by exp(-L), L = ln(1 / _TAIL_MASS), for
-    ``t = b L / 3 + sqrt((b L / 3)^2 + 2 n s2 L)``.
+    mass past ``k mu -+ t`` by exp(-L), L = ln(1 / _TAIL_MASS), for
+    ``t = b L / 3 + sqrt((b L / 3)^2 + 2 k s2 L)``.  The margin between
+    ``k mu - t`` and the support's lower end is convex in k and negative
+    at k = 0, and so is the one above; so when the n-fold window is the
+    whole support, every k-fold window with k <= n is too.
     """
-    p = p / p.sum()
-    idx = np.arange(p.size)
-    mu = float(p @ idx)
-    s2 = float(p @ (idx - mu) ** 2)
+    idx = np.arange(p.size, dtype=float)
+    mass = float(p.sum())
+    mu = float(p @ idx) / mass
+    idx -= mu
+    s2 = float(p @ (idx * idx)) / mass
     L = math.log(1.0 / _TAIL_MASS)
+    top = p.size - 1
+    # b L / 3 for the sides below and above, and 2 s2 L
+    below, above, v = mu * L / 3.0, (top - mu) * L / 3.0, 2.0 * s2 * L
 
-    def side(b):
-        return b * L / 3.0 + math.sqrt((b * L / 3.0) ** 2 + 2.0 * n * s2 * L)
-
-    size = n * (p.size - 1) + 1
-    lo = max(math.floor(n * mu - side(mu)), 0)
-    hi = min(math.ceil(n * mu + side(p.size - 1 - mu)) + 1, size)
-    return lo, hi
+    def window(k):
+        lo = math.floor(k * mu - below - math.sqrt(below * below + k * v))
+        hi = math.ceil(k * mu + above + math.sqrt(above * above + k * v)) + 1
+        return max(lo, 0), min(hi, k * top + 1)
+    return window
 
 
 def power_lattice(P: Lattice, n: int) -> Lattice:
-    """n-fold convolution power, direct up to ``_DIRECT_CAP`` entries.
+    """n-fold convolution power, stored over its mass window.
 
-    Past the cap, ``P^(2^j)`` is squared directly while its length stays
-    within the cap, collecting the low bits of n into a direct remainder
-    power ``P^r``; then ``P^n = irfft(rfft(P^(2^j))^q * rfft(P^r))`` with
-    ``q = n >> j``.  The transforms span only the window ``[lo, hi)``
-    of ``_mass_window``, past each side of which the sum holds at most
-    1e-30: the circular result is read at the window's indices modulo the
-    transform length, so only the mass past the window aliases in, and
-    the power is 0 outside it.  When the window is the whole support, the
-    transform length and weights are those of a full-length transform.
-    The transforms' rounding grows with q, so entries at or below
+    ``P^(2^j)`` is squared directly, collecting the low bits of n into a
+    direct remainder power ``P^r``.  A power of at most ``_DIRECT_CAP``
+    entries is their product; past the cap, the squaring stops while the
+    square's full support still fits the cap, and
+    ``P^n = irfft(rfft(P^(2^j))^q * rfft(P^r))`` with ``q = n >> j``.
+    Each product, a k-fold power, is cut to the k-fold window of
+    ``_mass_window``, past each side of which the exact power holds at
+    most 1e-30; ``cuts`` counts the factors that lost entries.  The
+    transforms span the n-fold window ``[lo, hi)``, and the circular
+    result is read at its indices less the factors' first indices, so
+    only mass past the window aliases in.  The power's ``weights`` span
+    its window only, ``shift`` is the window's first atom, and ``window``
+    records ``[lo, hi]`` on both engines.  When the n-fold window is the
+    whole support, nothing is cut and the weights are those of the
+    uncut products and full-length transform.  The transforms' rounding
+    grows with q, so entries at or below
     ``q * log2(fft_size) * eps * max(w)`` (negative ones too) are set to
-    zero and the rest renormalised; the result records that floor, the
-    transform length and the window.
+    zero and the rest renormalised; the result records that floor and
+    the transform length.
     """
     if n < 1:
         raise ConvolveError("power needs n >= 1")
-    size = n * (P.weights.size - 1) + 1
+    m = P.weights.size
+    size = n * (m - 1) + 1
     if size > MAX_LATTICE_ENTRIES:
         raise ConvolveError("convolution power exceeds entry budget")
-    if n == 1 or size <= _DIRECT_CAP:
-        return _power_direct(P, n)
-    lo, hi = _mass_window(P.weights, n)
-    base, q, rest = _square_down(P, n, _DIRECT_CAP)
-    # rfft crops a longer input; the remainder is shorter than the base
-    fft_size = _fft_size(max(hi - lo, base.weights.size))
+    if n == 1:
+        return P
+    window = _mass_window(P.weights)
+    lo, hi = window(n)
+    # no k-fold factor (k <= n) is cut when the n-fold window is the support
+    cut = hi - lo < size
+    cuts = 0
+
+    def times(A, a, B, b, k):
+        """The k-fold power A * B, with A stored from index a and B from
+        b, cut to its window; returns it and its first index."""
+        nonlocal cuts
+        C = convolve_atomic(A, B)
+        if cut:
+            klo, khi = window(k)
+            i, j = max(klo - a - b, 0), min(khi - a - b, C.weights.size)
+            if j - i < C.weights.size:
+                C.weights, C.shift = C.weights[i:j], C.shift + i * P.span
+                cuts += 1
+                return C, a + b + i
+        return C, a + b
+
+    direct = size <= _DIRECT_CAP
+    cap = math.inf if direct else _DIRECT_CAP
+    base, b0, k = P, 0, 1
+    rest, r0, r = None, 0, 0
+    q = n
+    while q > 1 and 2 * k * (m - 1) + 1 <= cap:
+        if q & 1:
+            r += k
+            rest, r0 = (base, b0) if rest is None else times(rest, r0, base, b0, r)
+        q >>= 1
+        k *= 2
+        base, b0 = times(base, b0, base, b0, k)
+    if direct:
+        out, first = (base, b0) if rest is None else times(rest, r0, base, b0, n)
+        out.window, out.cuts = [first, first + out.weights.size], cuts
+        return out
+    # rfft would crop a longer input
+    fft_size = _fft_size(max(hi - lo, base.weights.size,
+                             0 if rest is None else rest.weights.size))
     W = np.fft.rfft(base.weights, fft_size)
     np.power(W, q, out=W)
     if rest is not None:
         W *= np.fft.rfft(rest.weights, fft_size)
-    v = np.fft.irfft(W, fft_size)[np.arange(lo, hi) % fft_size]
+    first = q * b0 + r0
+    v = np.fft.irfft(W, fft_size)[np.arange(lo - first, hi - first) % fft_size]
     del W
     floor = q * math.log2(fft_size) * np.finfo(float).eps * float(v.max())
     v[v <= floor] = 0.0
     v *= 1.0 / v.sum()
-    w = np.zeros(size)
-    w[lo:hi] = v
-    out = Lattice(n * P.shift, P.span, w)
-    out.fft_size, out.noise_floor, out.window = fft_size, floor, [lo, hi]
+    out = Lattice(n * P.shift + lo * P.span, P.span, v)
+    out.fft_size, out.noise_floor, out.window, out.cuts = fft_size, floor, [lo, hi], cuts
     return out
 
 
@@ -244,8 +275,8 @@ def clt_lhs(P: LawSpec, n: int, mode: str = "exact_lattice",
         if not sd > 0:
             raise ModeError("degenerate law in exact_lattice mode")
         sup, arg = _lattice_vs_normal_sup(Ln, mean, sd)
-        err = 1e-13 + Ln.noise_floor * Ln.weights.size
-        if Ln.window is not None:
+        err = 1e-13 + Ln.noise_floor * Ln.weights.size + 2 * _TAIL_MASS * Ln.cuts
+        if Ln.fft_size:
             # the mass past each side of the window is left out and aliased in
             err += 4 * _TAIL_MASS
         return MetricValue(sup, err, "closed_form",

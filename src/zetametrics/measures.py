@@ -244,14 +244,17 @@ class Lattice(Atoms):
     weights and are made on first use, so lattice powers that are only
     convolved never build them.  ``fft_size`` is the transform length of
     an FFT-formed power (0 otherwise), ``noise_floor`` the level at or
-    below which its entries were set to zero, and ``window`` the index
-    range ``[lo, hi)`` its transform spanned (None otherwise).
+    below which its entries were set to zero, ``window`` the index range
+    ``[lo, hi)`` of the full support that a power's weights span, on
+    either engine (None for a law that is no power), and ``cuts`` the
+    number of the power's factors cut to their windows.
     """
 
     family = "lattice"
     fft_size = 0
     noise_floor = 0.0
     window = None
+    cuts = 0
 
     def __init__(self, shift: float, span: float, weights: Sequence[float]):
         if not span > 0:

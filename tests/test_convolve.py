@@ -8,10 +8,23 @@ import pytest
 import zetametrics as zm
 from zetametrics.convolve import (_DIRECT_CAP, MAX_LATTICE_ENTRIES, ConvolveError,
                                   ModeError, SpanMismatchError, _fft_size,
-                                  _lattice_vs_normal_sup, _power_direct)
+                                  _lattice_vs_normal_sup, _mass_window)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 RNG = np.random.default_rng(99)
+
+
+def full_power(L, n):
+    """The full-support n-fold power by binary exponentiation over
+    convolve_atomic, with nothing cut: the reference for power_lattice."""
+    out, base = None, L
+    while True:
+        if n & 1:
+            out = base if out is None else zm.convolve_atomic(out, base)
+        n >>= 1
+        if not n:
+            return out
+        base = zm.convolve_atomic(base, base)
 
 
 def random_standardised_lattice(rng):
@@ -117,20 +130,29 @@ class TestFftPower:
     def test_matches_direct(self, name, law, n):
         L = zm.lattice_of(law)
         fft = zm.power_lattice(L, n)
-        direct = _power_direct(L, n)
+        direct = full_power(L, n)
+        # the FFT power is renormalised to mass 1, and so is the reference:
+        # the rounding of its direct convolutions leaves Bernoulli(0.1)'s
+        # 20,000-fold power with mass 1 + 8.0e-13
+        direct = zm.Lattice(direct.shift, direct.span, direct.weights / math.fsum(direct.weights))
         N = direct.weights.size
         lo, hi = fft.window
         assert N > _DIRECT_CAP and direct.fft_size == 0
         # the transform holds the window, which is shorter than the support
         assert hi - lo <= fft.fft_size < N
-        assert not fft.weights[:lo].any() and not fft.weights[hi:].any()
-        assert fft.weights.size == N and fft.shift == pytest.approx(direct.shift, abs=1e-9)
+        # the power is stored over its window, and the window holds all
+        # but 1e-30 of the mass on each side
+        S = fft.weights.size
+        assert S == hi - lo
+        assert fft.shift == pytest.approx(n * L.shift + lo * L.span, abs=1e-9)
+        assert math.fsum(direct.weights[:lo]) + math.fsum(direct.weights[hi:]) <= 2e-30
         # each entry is off by at most the noise floor plus the share of the
-        # renormalisation, which moves the mass by at most N floors
+        # renormalisation, which moves the mass by at most S floors
         floor = fft.noise_floor
         assert 0 < floor < 1e-12 * direct.weights.max()
-        gap = np.abs(fft.weights - direct.weights)
-        assert np.all(gap <= 2 * floor * (1.0 + N * direct.weights))
+        ref = direct.weights[lo:hi]
+        gap = np.abs(fft.weights - ref)
+        assert np.all(gap <= 2 * floor * (1.0 + S * ref))
         mean, sd = n * law.mean, math.sqrt(n) * law.std
         sup_fft, _ = _lattice_vs_normal_sup(fft, mean, sd)
         sup_direct, _ = _lattice_vs_normal_sup(direct, mean, sd)
@@ -157,12 +179,14 @@ class TestFftPower:
         assert out.weights.view(np.uint64).tolist() == w.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
-    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("n", [64, 2048, 10**4, 10**5, 10**6])
     def test_window_leaves_out_at_most_1e_30_a_side(self, p, n):
+        # at n = 64 and 2048 the b L / 3 term of Bernstein's bound dominates
         from scipy.stats import binom
         out = zm.power_lattice(zm.bernoulli(p), n)
         lo, hi = out.window
-        assert 0 < lo < hi <= n and out.fft_size < n
+        assert 0 <= lo < hi <= n + 1 and out.fft_size < n
+        assert out.weights.size == hi - lo
         assert binom.logcdf(lo - 1, n, p) <= math.log(1e-30)
         assert binom.logsf(hi - 1, n, p) <= math.log(1e-30)
 
@@ -197,7 +221,58 @@ class TestFftPower:
         out = zm.clt_lhs(zm.bernoulli(0.3), 64)
         assert out.certificate["engine"] == "direct"
         assert out.certificate["fft_size"] == 0 and out.err_est == 1e-13
-        assert out.certificate["window"] is None
+        assert out.certificate["window"] == [0, 65]
+
+    CUT = [("bernoulli(0.5)", zm.bernoulli(0.5), 3185),
+           ("rounded_gamma(a=4,eta=1)", zm.rounded(1.0, 0.0, zm.gamma_power(4.0)), 64)]
+
+    @pytest.mark.parametrize("name,law,n", CUT, ids=[c[0] for c in CUT])
+    def test_cut_direct_power_matches_full_support(self, name, law, n):
+        L = zm.lattice_of(law)
+        cut = zm.power_lattice(L, n)
+        full = full_power(L, n)
+        lo, hi = cut.window
+        assert cut.fft_size == 0 and cut.cuts > 0
+        assert 0 < hi - lo < full.weights.size <= _DIRECT_CAP
+        assert cut.weights.size == hi - lo
+        assert cut.shift == pytest.approx(n * L.shift + lo * L.span, abs=1e-9)
+        # the two sum the same products in other orders, over at most
+        # 2 log2(n) levels; each cut factor lost at most 2e-30 of mass
+        ref = full.weights[lo:hi]
+        bound = 64 * n.bit_length() * np.finfo(float).eps * ref + 2e-30 * cut.cuts
+        assert np.all(np.abs(cut.weights - ref) <= bound)
+        mean, sd = n * law.mean, math.sqrt(n) * law.std
+        out = zm.clt_lhs(law, n)
+        assert out.certificate["engine"] == "direct" and out.certificate["window"] == [lo, hi]
+        assert out.err_est == 1e-13 + 2e-30 * cut.cuts
+        assert abs(out.value - _lattice_vs_normal_sup(full, mean, sd)[0]) <= out.err_est
+
+    UNCUT = [("bernoulli(0.3)", zm.bernoulli(0.3), 64),
+             ("rounded_normal(eta=1)", zm.rounded(1.0, 0.0, zm.normal()), 16)]
+
+    @pytest.mark.parametrize("name,law,n", UNCUT, ids=[c[0] for c in UNCUT])
+    def test_uncut_power_is_the_full_support_power(self, name, law, n):
+        L = zm.lattice_of(law)
+        out = zm.power_lattice(L, n)
+        full = full_power(L, n)
+        size = full.weights.size
+        assert out.window == [0, size] and out.cuts == 0 and out.fft_size == 0
+        assert out.weights.view(np.uint64).tolist() == full.weights.view(np.uint64).tolist()
+        assert out.shift == full.shift
+        assert zm.clt_lhs(law, n).err_est == 1e-13
+
+    def test_uncut_window_means_uncut_factors(self, corpus):
+        # the margins of Bernstein's bound are convex in k: when the n-fold
+        # window is the whole support, so is every k-fold one with k <= n
+        laws = [zm.bernoulli(p) for p in np.linspace(0.01, 0.99, 50)]
+        laws += [law for _, law in corpus]
+        for law in laws:
+            L = zm.lattice_of(law)
+            window = _mass_window(L.weights)
+            top = L.weights.size - 1
+            full = [window(k) == (0, k * top + 1) for k in range(1, 4097)]
+            # the ks of full windows are 1 .. K for some K
+            assert full[0] and full == sorted(full, reverse=True)
 
     def test_entry_budget_checked_before_any_work(self, monkeypatch):
         def no_work(*args):
@@ -452,6 +527,16 @@ class TestWassersteinLattice:
         v = zm.wasserstein_lattice_vs_normal(zm.lattice_of(P), P.mean, P.std)
         k = zm.kappa_r(zm.signed_diff(zm.standardise(P), zm.STANDARD_NORMAL), 1.0)
         assert abs(k.value - v) <= k.err_est
+
+    def test_cut_power_against_mpmath(self):
+        # the exact value: a 40-digit mpmath cell sum over the binomial
+        # weights of Binomial(1024, p) for the float p = 0.3; the full
+        # support reached atoms of mass 1e-159, where the power's mass
+        # defect of -5.6e-14 was integrated over a grid out to 43 sd
+        B = zm.bernoulli(0.3)
+        L = zm.power_lattice(B, 1024)
+        v = zm.wasserstein_lattice_vs_normal(L, 1024 * B.mean, 32 * B.std)
+        assert abs(v - 0.017649059747201456) <= 1e-12
 
     def test_power_consistency(self):
         B = zm.bernoulli(0.3)
